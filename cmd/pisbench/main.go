@@ -67,8 +67,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "streaming build: %.0f ms, peak RSS %.1f MiB vs %.1f MiB raw postings (%d spill runs, %.1f MiB spilled)\n",
 			rep.BuildMS, rep.BuildPeakRSSMB, float64(rep.RawPostingBytes)/(1<<20),
 			rep.StreamSpillRuns, float64(rep.StreamSpillBytes)/(1<<20))
-		fmt.Fprintf(os.Stderr, "index open: mapped %.1f ms vs heap %.1f ms (%d bytes on disk)\n",
-			rep.IndexOpenMSMapped, rep.IndexOpenMSHeap, rep.IndexBytes)
+		fmt.Fprintf(os.Stderr, "index open: mapped %.1f ms vs heap load %.1f ms (%d bytes on disk)\n",
+			rep.IndexOpenMSMapped, rep.IndexLoadMS, rep.IndexBytes)
 		fmt.Fprintf(os.Stderr, "mapped queries: %.1f q/s over %d queries, avg %.1f answers\n",
 			rep.QueriesPerSec, rep.Queries, rep.AvgAnswers)
 		if *jsonOut != "" {

@@ -26,12 +26,9 @@
 // a restart — graceful or not — recovers the exact acknowledged state
 // from the newest snapshots plus the log tails, with no re-mining.
 // Without -data-dir mutations are in-memory only and vanish on exit.
-//
-// A -data-dir pointing at a legacy -index-dir layout (per-shard .pisidx
-// files plus a fingerprint manifest) is migrated in place: the old
-// indexes are loaded once, a snapshot-based store is written next to
-// them, and later restarts use the store alone. The legacy files can
-// then be deleted.
+// Stores written before every snapshot kept its index in an
+// idx-<seq>.pisidx3 side file do not open; rebuild them from -db/-gen
+// into an empty -data-dir.
 //
 // The process shuts down gracefully on SIGINT or SIGTERM, draining
 // in-flight requests. See README.md for request bodies and curl
@@ -41,15 +38,11 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
-	"hash/fnv"
-	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -75,7 +68,7 @@ func main() {
 		quWait   = flag.Duration("queue-wait", 0, "shed a queued query request with 429 after waiting this long for a slot (0 = wait as long as the client)")
 		qTimeout = flag.Duration("query-timeout", 0, "per-query execution deadline, e.g. 5s; exceeded queries return 504 (0 disables)")
 		shutdown = flag.Duration("shutdown-timeout", 10*time.Second, "graceful-shutdown drain window for in-flight requests")
-		dataDir  = flag.String("data-dir", "", "durable store directory: recovered when present (no -db needed), created from -db/-gen otherwise; legacy -index-dir layouts migrate in place")
+		dataDir  = flag.String("data-dir", "", "durable store directory: recovered when present (no -db needed), created from -db/-gen otherwise")
 		compact  = flag.Float64("compact-fraction", 0.25, "auto-compact a shard when its insert delta exceeds this fraction of its indexed size (negative disables)")
 
 		debugAddr = flag.String("debug-addr", "", "admin listen address serving /metrics and /debug/pprof/ (profiling is never exposed on -addr)")
@@ -295,92 +288,25 @@ func runDebugServer(ctx context.Context, addr string) {
 	}
 }
 
-// buildSharded constructs the database from graphs. With a data dir it
-// becomes durable: a legacy index layout is migrated via load+persist
-// when its fingerprint matches, otherwise the index is built fresh and
-// persisted.
+// buildSharded constructs the database from graphs, durable under
+// dataDir when one is given.
 func buildSharded(graphs []*pis.Graph, nShards int, opts pis.Options, dataDir string) (*pis.Sharded, error) {
 	if nShards > len(graphs) {
 		nShards = len(graphs)
 	}
-	if dataDir != "" {
-		if db, ok := migrateLegacy(graphs, nShards, opts, dataDir); ok {
-			return db, nil
-		}
-	}
 	start := time.Now()
-	db, err := pis.NewSharded(graphs, nShards, opts)
+	if dataDir == "" {
+		db, err := pis.NewSharded(graphs, nShards, opts)
+		if err != nil {
+			return nil, err
+		}
+		log.Printf("built %d shard indexes in %v", db.NumShards(), time.Since(start))
+		return db, nil
+	}
+	db, err := pis.CreateSharded(dataDir, graphs, nShards, opts)
 	if err != nil {
 		return nil, err
 	}
-	log.Printf("built %d shard indexes in %v", db.NumShards(), time.Since(start))
-	if dataDir != "" {
-		if err := db.Persist(dataDir); err != nil {
-			return nil, err
-		}
-		log.Printf("persisted database store to %s", dataDir)
-	}
+	log.Printf("built %d shard indexes in %v and persisted database store to %s", db.NumShards(), time.Since(start), dataDir)
 	return db, nil
-}
-
-// Legacy -index-dir layout: per-shard gob index files plus a database
-// fingerprint manifest, written by earlier pisserved versions.
-func legacyShardPath(dir string, i, n int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%d-of-%d.pisidx", i, n))
-}
-
-func legacyManifestPath(dir string) string { return filepath.Join(dir, "manifest") }
-
-// legacyFingerprint hashes the full database contents the way the old
-// -index-dir manifest did.
-func legacyFingerprint(graphs []*pis.Graph) (string, error) {
-	h := fnv.New64a()
-	if err := pis.WriteDatabase(h, graphs); err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%016x", h.Sum64()), nil
-}
-
-// migrateLegacy loads a legacy index layout from dataDir when one is
-// present and matches graphs, then persists it as a snapshot-based store
-// in the same directory — a one-time checkpoint instead of a re-mine.
-// ok is false when there is nothing (valid) to migrate.
-func migrateLegacy(graphs []*pis.Graph, nShards int, opts pis.Options, dataDir string) (*pis.Sharded, bool) {
-	saved, err := os.ReadFile(legacyManifestPath(dataDir))
-	if err != nil {
-		return nil, false
-	}
-	fp, err := legacyFingerprint(graphs)
-	if err != nil || string(saved) != fp {
-		log.Printf("legacy index dir %s was built for a different database; rebuilding", dataDir)
-		return nil, false
-	}
-	files := make([]*os.File, 0, nShards)
-	defer func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}()
-	readers := make([]io.Reader, 0, nShards)
-	for i := 0; i < nShards; i++ {
-		f, err := os.Open(legacyShardPath(dataDir, i, nShards))
-		if err != nil {
-			log.Printf("legacy index dir %s is incomplete for %d shards; rebuilding", dataDir, nShards)
-			return nil, false
-		}
-		files = append(files, f)
-		readers = append(readers, f)
-	}
-	db, err := pis.LoadShardedIndex(graphs, readers, opts)
-	if err != nil {
-		log.Printf("legacy index load failed (%v); rebuilding", err)
-		return nil, false
-	}
-	if err := db.Persist(dataDir); err != nil {
-		// Never degrade silently to in-memory when the operator asked for
-		// -data-dir: acknowledged mutations would vanish on restart.
-		log.Fatalf("migrating legacy index dir %s failed: %v", dataDir, err)
-	}
-	log.Printf("migrated legacy index dir %s to a durable store (legacy .pisidx files can be deleted)", dataDir)
-	return db, true
 }

@@ -1,9 +1,7 @@
 package pis_test
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -307,28 +305,42 @@ func TestDurabilityNoIDReuseAfterRestart(t *testing.T) {
 	}
 }
 
-// TestDurabilityPersistThenOpen: an in-memory database (including one
-// with live mutations) becomes durable via Persist with no rebuild, and
-// Open recovers it; Checkpoint works, ErrNotDurable before.
+// TestDurabilityPersistThenOpen: an in-memory database is not durable
+// (Checkpoint returns ErrNotDurable); Create persists a database with no
+// rebuild, refuses a directory that already holds a store, and Open
+// recovers it with the WAL-logged mutations made after Create.
 func TestDurabilityPersistThenOpen(t *testing.T) {
 	opts := pis.Options{MaxFragmentEdges: 4, CompactFraction: -1}
 	initial := gen.Molecules(18, gen.Config{Seed: 94})
-	db, err := pis.New(initial, opts)
+	mem, err := pis.New(initial, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Checkpoint(); err != pis.ErrNotDurable {
+	if err := mem.Checkpoint(); err != pis.ErrNotDurable {
 		t.Fatalf("Checkpoint on in-memory db: %v, want ErrNotDurable", err)
 	}
-	if d := db.Durability(); d.Durable {
+	if d := mem.Durability(); d.Durable {
 		t.Fatal("in-memory database claims to be durable")
+	}
+
+	dir := filepath.Join(t.TempDir(), "db")
+	db, err := pis.Create(dir, initial, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pis.Create(dir, initial, opts); err == nil {
+		t.Fatal("second Create over the same store succeeded")
+	}
+	if d := db.Durability(); !d.Durable || d.SnapshotSeq != 1 {
+		t.Fatalf("after Create: %+v", d)
 	}
 	pool := gen.Molecules(4, gen.Config{Seed: 95})
 	m := &mutationModel{live: make(map[int32]*pis.Graph)}
 	for i, g := range initial {
 		m.live[int32(i)] = g
 	}
-	id, err := db.Insert(pool[0]) // live delta at Persist time
+	// Mutations after Create are WAL-logged.
+	id, err := db.Insert(pool[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,29 +349,12 @@ func TestDurabilityPersistThenOpen(t *testing.T) {
 		t.Fatalf("Delete: %v, %v", ok, err)
 	}
 	delete(m.live, 2)
-
-	dir := filepath.Join(t.TempDir(), "db")
-	if err := db.Persist(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Persist(dir); err == nil {
-		t.Fatal("second Persist succeeded")
-	}
-	if d := db.Durability(); !d.Durable || d.SnapshotSeq != 1 {
-		t.Fatalf("after Persist: %+v", d)
-	}
-	// Mutations after Persist are WAL-logged.
-	id2, err := db.Insert(pool[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.live[id2] = pool[1]
 	db.Close()
 
 	re := reopen(t, dir, false, opts)
 	defer re.Close()
-	if d := re.Durability(); d.ReplayedRecords != 1 {
-		t.Fatalf("recovery replayed %d records, want 1", d.ReplayedRecords)
+	if d := re.Durability(); d.ReplayedRecords != 2 {
+		t.Fatalf("recovery replayed %d records, want 2", d.ReplayedRecords)
 	}
 	checkEquivalence(t, rand.New(rand.NewSource(21)), re, m, opts)
 }
@@ -401,46 +396,48 @@ func TestOpenRejectsWrongShape(t *testing.T) {
 	sh.Close()
 }
 
-// TestLoadIndexFingerprintMismatch: an index stream paired with a
-// different database must fail descriptively — not load cleanly and
-// return wrong answers. The sharded path names the offending shard.
-func TestLoadIndexFingerprintMismatch(t *testing.T) {
+// TestOpenShardedFingerprintMismatch: a shard whose index side file was
+// built over different graphs must fail to open descriptively, naming
+// the shard and the fingerprint — not open cleanly and return wrong
+// answers — whether the index is decoded onto the heap or mapped.
+func TestOpenShardedFingerprintMismatch(t *testing.T) {
 	opts := pis.Options{MaxFragmentEdges: 4}
 	graphs := gen.Molecules(20, gen.Config{Seed: 97})
 	other := gen.Molecules(20, gen.Config{Seed: 98}) // same count, different contents
-	db, err := pis.New(graphs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := db.SaveIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-	_, err = pis.LoadIndex(other, bytes.NewReader(buf.Bytes()), opts)
-	if err == nil {
-		t.Fatal("index loaded against the wrong database")
-	}
-	if !strings.Contains(err.Error(), "fingerprint") {
-		t.Fatalf("mismatch error does not mention the fingerprint: %v", err)
-	}
-
-	sh, err := pis.NewSharded(graphs, 2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bufs := make([]bytes.Buffer, 2)
-	readers := make([]io.Reader, 2)
-	for i := range bufs {
-		if err := sh.SaveShardIndex(i, &bufs[i]); err != nil {
+	dirA := filepath.Join(t.TempDir(), "a")
+	dirB := filepath.Join(t.TempDir(), "b")
+	for dir, gs := range map[string][]*pis.Graph{dirA: graphs, dirB: other} {
+		db, err := pis.CreateSharded(dir, gs, 2, opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-		readers[i] = &bufs[i]
+		db.Close()
 	}
-	_, err = pis.LoadShardedIndex(other, readers, opts)
-	if err == nil {
-		t.Fatal("sharded index loaded against the wrong database")
+	sideA, err := filepath.Glob(filepath.Join(dirA, "shard-000", "idx-*.pisidx3"))
+	if err != nil || len(sideA) != 1 {
+		t.Fatalf("store A: index side files %v (err %v), want exactly 1", sideA, err)
 	}
-	if !strings.Contains(err.Error(), "shard 0") || !strings.Contains(err.Error(), "fingerprint") {
-		t.Fatalf("sharded mismatch error should name the shard and the fingerprint: %v", err)
+	sideB, err := filepath.Glob(filepath.Join(dirB, "shard-000", "idx-*.pisidx3"))
+	if err != nil || len(sideB) != 1 {
+		t.Fatalf("store B: index side files %v (err %v), want exactly 1", sideB, err)
+	}
+	data, err := os.ReadFile(sideB[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(sideA[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mapped := range []bool{false, true} {
+		o := opts
+		o.MappedIndex = mapped
+		db, err := pis.OpenSharded(dirA, o)
+		if err == nil {
+			db.Close()
+			t.Fatalf("mapped=%v: store opened with another database's index", mapped)
+		}
+		if !strings.Contains(err.Error(), "shard 0") || !strings.Contains(err.Error(), "fingerprint") {
+			t.Fatalf("mapped=%v: mismatch error should name the shard and the fingerprint: %v", mapped, err)
+		}
 	}
 }

@@ -907,7 +907,7 @@ func (s *Searcher) candGraph(view View, id int32) *graph.Graph {
 
 // candFP resolves a candidate's prescreen fingerprint: base ids from the
 // index table, delta ids from the view's DeltaFPs overlay. Nil exempts
-// the graph from the prescreen (legacy index streams, bare views).
+// the graph from the prescreen (bare views).
 func (s *Searcher) candFP(view View, id int32) *index.GraphFP {
 	if int(id) < len(s.db) {
 		return s.idx.FingerprintAt(id)

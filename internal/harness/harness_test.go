@@ -179,8 +179,8 @@ func TestMeasureLargeSynthetic(t *testing.T) {
 	if rep.QueriesPerSec <= 0 {
 		t.Error("no throughput measured")
 	}
-	if rep.IndexOpenMSMapped <= 0 || rep.IndexOpenMSHeap <= 0 {
-		t.Errorf("open timings missing: mapped %v heap %v", rep.IndexOpenMSMapped, rep.IndexOpenMSHeap)
+	if rep.IndexOpenMSMapped <= 0 || rep.IndexLoadMS <= 0 {
+		t.Errorf("open timings missing: mapped %v heap load %v", rep.IndexOpenMSMapped, rep.IndexLoadMS)
 	}
 	if _, err := os.Stat("/proc/self/status"); err == nil && rep.BuildPeakRSSMB <= 0 {
 		t.Error("build peak RSS not captured despite /proc being available")

@@ -97,9 +97,10 @@ type BenchReport struct {
 	LoadVsBuildSpeedup float64 `json:"load_vs_build_speedup"`
 
 	// Out-of-core profile. PeakRSSMB is the process high-water mark at
-	// the end of the measurement (0 where /proc is unavailable); the
-	// open timings compare demand-paged mmap against decoding the same
-	// v3 image onto the heap. The remaining fields are filled only by
+	// the end of the measurement (0 where /proc is unavailable);
+	// IndexOpenMSMapped times a demand-paged mmap open of the index file,
+	// to compare with IndexLoadMS, which decodes the same bytes onto the
+	// heap. The remaining fields are filled only by
 	// MeasureLarge: BuildPeakRSSMB is the high-water mark right after
 	// the streaming build — before the query phase materializes the
 	// graphs — and RawPostingBytes is the uncompressed posting volume a
@@ -107,7 +108,6 @@ type BenchReport struct {
 	// build's RSS budget.
 	PeakRSSMB         float64 `json:"peak_rss_mb"`
 	IndexOpenMSMapped float64 `json:"index_open_ms_mapped"`
-	IndexOpenMSHeap   float64 `json:"index_open_ms_heap"`
 	BuildPeakRSSMB    float64 `json:"build_peak_rss_mb,omitempty"`
 	RawPostingBytes   int64   `json:"raw_posting_bytes,omitempty"`
 	StreamSpillRuns   int     `json:"stream_spill_runs,omitempty"`
@@ -247,9 +247,9 @@ func Measure(env *Env, queryEdges int, sigma float64) BenchReport {
 	return rep
 }
 
-// measureOpenCost times opening the index's v3 image both ways: mmap
-// (directory decode only, slabs demand-paged) and full heap decode.
-// Failures leave the fields 0, which the benchmark gate skips.
+// measureOpenCost times opening the index file through a memory mapping
+// (directory decode only, slabs demand-paged). A failure leaves the
+// field 0, which the benchmark gate skips.
 func measureOpenCost(x *index.Index, rep *BenchReport) {
 	f, err := os.CreateTemp("", "pis-bench-*.pisidx3")
 	if err != nil {
@@ -265,14 +265,6 @@ func measureOpenCost(x *index.Index, rep *BenchReport) {
 	if mx, err := index.OpenMapped(path, x.Options().Metric); err == nil {
 		rep.IndexOpenMSMapped = ms(time.Since(start))
 		mx.Close()
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return
-	}
-	start = time.Now()
-	if _, err := index.Load(bytes.NewReader(data), x.Options().Metric); err == nil {
-		rep.IndexOpenMSHeap = ms(time.Since(start))
 	}
 }
 

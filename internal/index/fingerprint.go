@@ -25,8 +25,7 @@
 // Every test is conservative: a rejected graph provably has d(Q, G) > σ,
 // so the prescreen never changes answers, only skips branch-and-bound
 // work. Fingerprints are computed at index build (postings already say
-// which graph contains which class), persisted in the PISIDX2 stream, and
-// recomputed by EnsureFingerprints for legacy streams.
+// which graph contains which class) and persisted in the index file.
 
 package index
 
@@ -150,16 +149,10 @@ func (x *Index) computeFingerprints(db []*graph.Graph) {
 		fps[i].Sig = slab[i*words : (i+1)*words : (i+1)*words]
 	}
 	bits := uint32(words * 64)
-	var postBuf []int32
 	for _, c := range x.list {
-		ids := c.postings
-		if c.mapped {
-			postBuf = c.AppendPostings(postBuf[:0])
-			ids = postBuf
-		}
 		for _, b := range classSigBits(c.Key, bits) {
 			w, m := b>>6, uint64(1)<<(b&63)
-			for _, id := range ids {
+			for _, id := range c.postings {
 				fps[id].Sig[w] |= m
 			}
 		}
@@ -168,7 +161,7 @@ func (x *Index) computeFingerprints(db []*graph.Graph) {
 }
 
 // FingerprintAt returns graph id's fingerprint, or nil when the index
-// carries none (legacy stream not yet passed through EnsureFingerprints).
+// carries none (an index over zero graphs).
 func (x *Index) FingerprintAt(id int32) *GraphFP {
 	if x.fps == nil {
 		return nil
@@ -178,17 +171,6 @@ func (x *Index) FingerprintAt(id int32) *GraphFP {
 
 // HasFingerprints reports whether the per-graph fingerprint table exists.
 func (x *Index) HasFingerprints() bool { return x.fps != nil }
-
-// EnsureFingerprints computes the fingerprint table if the index has none
-// — the recovery path for streams persisted before fingerprints existed.
-// db must be the exact graph set the index was built over. Not safe for
-// concurrent use; call it before the index starts serving.
-func (x *Index) EnsureFingerprints(db []*graph.Graph) {
-	if x.fps != nil || len(db) != x.dbSize {
-		return
-	}
-	x.computeFingerprints(db)
-}
 
 // QueryFP is the query-side prescreen state: the query's own structural
 // fingerprint plus the union of its indexed fragment classes' signature

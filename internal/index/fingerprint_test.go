@@ -11,8 +11,8 @@ import (
 	"pis/internal/iso"
 )
 
-// TestGraphFPPersistRoundTrip: the fingerprint table must survive the
-// PISIDX2 stream byte-exactly — same structural counters, same signature
+// TestGraphFPPersistRoundTrip: the fingerprint table must survive
+// Save/Load byte-exactly — same structural counters, same signature
 // words, same width.
 func TestGraphFPPersistRoundTrip(t *testing.T) {
 	metric := distance.EdgeMutation{}
@@ -33,49 +33,6 @@ func TestGraphFPPersistRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(x.fps, y.fps) {
 		t.Fatalf("fingerprint table changed across save/load:\nsaved  %+v\nloaded %+v", x.fps[0], y.fps[0])
-	}
-}
-
-// TestEnsureFingerprintsLegacyStream: a v2 stream written without the
-// trailing sections (the pre-fingerprint format) loads with no
-// fingerprint table; EnsureFingerprints recomputes exactly what a fresh
-// build produces.
-func TestEnsureFingerprintsLegacyStream(t *testing.T) {
-	metric := distance.EdgeMutation{}
-	x, db := buildSmall(t, TrieIndex, metric, 62, 18)
-	var buf bytes.Buffer
-	if err := x.save(&buf, false); err != nil {
-		t.Fatal(err)
-	}
-	y, err := Load(&buf, metric)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y.HasFingerprints() {
-		t.Fatal("section-less stream should load without fingerprints")
-	}
-	if y.FingerprintAt(0) != nil {
-		t.Fatal("FingerprintAt must return nil without a table")
-	}
-	y.EnsureFingerprints(db)
-	if !y.HasFingerprints() {
-		t.Fatal("EnsureFingerprints did not build the table")
-	}
-	if !reflect.DeepEqual(x.fps, y.fps) {
-		t.Fatal("recomputed fingerprints differ from the built ones")
-	}
-	// Wrong database size must refuse rather than fingerprint garbage.
-	var buf2 bytes.Buffer
-	if err := x.save(&buf2, false); err != nil {
-		t.Fatal(err)
-	}
-	z, err := Load(&buf2, metric)
-	if err != nil {
-		t.Fatal(err)
-	}
-	z.EnsureFingerprints(db[:len(db)-1])
-	if z.HasFingerprints() {
-		t.Fatal("EnsureFingerprints accepted a mismatched database")
 	}
 }
 

@@ -110,8 +110,8 @@ type Class struct {
 	entCount  int
 	postCount int
 
-	// stats feeds the cost-based query planner; computed at build time,
-	// persisted in v2 streams, recomputed for legacy ones (see stats.go).
+	// stats feeds the cost-based query planner; computed at build time
+	// and persisted in the index directory (see stats.go).
 	stats ClassStats
 }
 
@@ -158,21 +158,47 @@ type Index struct {
 	list    []*Class
 	dbSize  int
 	// fingerprint identifies the exact graph set the index was built
-	// over (graph.Fingerprint); 0 means unknown (legacy v1 streams).
+	// over (graph.Fingerprint).
 	fingerprint uint64
 	// memo caches canonical skeleton codes so structurally identical
 	// fragments — the overwhelming majority of enumerated fragments — are
 	// canonicalized once, at build time and at query time alike.
 	memo *canon.Memo
 	// fps holds one prescreen fingerprint per graph (see fingerprint.go);
-	// nil on an index loaded from a stream written before fingerprints
-	// existed, until EnsureFingerprints recomputes them.
+	// nil only for an index over zero graphs.
 	fps []GraphFP
 
 	// mapping backs an out-of-core index opened with OpenMapped; nil for
 	// a heap index. mappedPath remembers the backing file.
 	mapping    *mmapio.Mapping
 	mappedPath string
+}
+
+// newClass builds a class's scaffolding over the canonical skeleton cg:
+// its sequence layout (vOff vertex positions, then one per edge) and the
+// automorphism permutations over that layout. Storage stays empty.
+func newClass(id int, key string, code canon.Code, cg *graph.Graph, vOff int) *Class {
+	_, embs := canon.MinCodeUnlabeled(cg) // automorphisms of the canonical skeleton
+	c := &Class{
+		ID:        id,
+		Key:       key,
+		Code:      code,
+		Structure: cg,
+		NumV:      cg.N(),
+		NumE:      cg.M(),
+		vOff:      vOff,
+	}
+	for _, a := range embs {
+		p := make([]int, c.SeqLen())
+		for k := 0; k < c.vOff; k++ {
+			p[k] = int(a.Vertices[k])
+		}
+		for t := 0; t < c.NumE; t++ {
+			p[c.vOff+t] = c.vOff + int(a.Edges[t])
+		}
+		c.perms = append(c.perms, p)
+	}
+	return c
 }
 
 // Classes returns all classes ordered by ID.
@@ -185,17 +211,8 @@ func (x *Index) Lookup(key string) *Class { return x.classes[key] }
 func (x *Index) DBSize() int { return x.dbSize }
 
 // Fingerprint returns the fingerprint of the graph set the index was
-// built over, or 0 when unknown (an index loaded from a legacy stream).
+// built over (graph.Fingerprint).
 func (x *Index) Fingerprint() uint64 { return x.fingerprint }
-
-// AdoptFingerprint records fp as the index's database fingerprint if it
-// has none. Used when a legacy fingerprint-less stream is attached to a
-// verified graph set, so the next Save writes a protected stream.
-func (x *Index) AdoptFingerprint(fp uint64) {
-	if x.fingerprint == 0 {
-		x.fingerprint = fp
-	}
-}
 
 // Options returns the construction options.
 func (x *Index) Options() Options { return x.opts }
@@ -238,28 +255,11 @@ func Build(db []*graph.Graph, features []mining.Feature, opts Options) (*Index, 
 		if cg == nil {
 			cg = f.Code.Graph()
 		}
-		_, embs := canon.MinCodeUnlabeled(cg) // automorphisms of the canonical skeleton
-		c := &Class{
-			ID:        len(x.list),
-			Key:       f.Key,
-			Code:      f.Code,
-			Structure: cg,
-			NumV:      cg.N(),
-			NumE:      cg.M(),
-		}
+		vOff := 0
 		if !distance.IgnoresVertices(opts.Metric) {
-			c.vOff = c.NumV
+			vOff = cg.N()
 		}
-		for _, a := range embs {
-			p := make([]int, c.SeqLen())
-			for k := 0; k < c.vOff; k++ {
-				p[k] = int(a.Vertices[k])
-			}
-			for t := 0; t < c.NumE; t++ {
-				p[c.vOff+t] = c.vOff + int(a.Edges[t])
-			}
-			c.perms = append(c.perms, p)
-		}
+		c := newClass(len(x.list), f.Key, f.Code, cg, vOff)
 		switch opts.Kind {
 		case TrieIndex:
 			c.trie = trie.New(c.SeqLen())

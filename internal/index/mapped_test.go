@@ -194,7 +194,7 @@ func TestMappedDifferentialFullMetric(t *testing.T) {
 // offset, so corruption tests can target every region precisely.
 func v3Sections(t *testing.T, data []byte) (sections [][2]int, slabOff int) {
 	t.Helper()
-	off := len(persistMagicV3)
+	off := len(persistMagic)
 	for off < len(data) {
 		if off+4 > len(data) {
 			break

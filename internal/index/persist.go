@@ -1,525 +1,133 @@
 // Index persistence. The expensive part of PIS is enumerating and
 // canonicalizing every database fragment; Save captures the result so a
-// process restart costs a deserialize instead of a rebuild.
+// process restart costs a decode (or a memory mapping) instead of a
+// rebuild.
 //
-// The current format ("PISIDX2\n") is a compact length-prefixed binary
-// stream: a header section followed by one section per class, each a
-// CRC32-checksummed binio section with posting lists and stored
-// sequences laid out as flat little-endian slabs. The header embeds the
-// fingerprint of the exact graph set the index was built over, so
-// loading an index against a different database fails loudly instead of
+// There is one on-disk format, PISIDX3 (persist_v3.go). Save writes it
+// to any writer and WriteMapped to a file; Load decodes it onto the heap
+// and OpenMapped serves it through a memory mapping. The header embeds
+// the fingerprint of the exact graph set the index was built over, so an
+// index paired with a different database fails loudly instead of
 // silently returning wrong answers. Automorphism permutations and the
 // bulk-loaded R-tree/VP-tree shapes are cheap to recompute and are
-// rebuilt on Load.
-//
-// The previous format — a gob stream magic-tagged "PIS-INDEX-v1" — is
-// still readable for one release: Load detects it by its leading bytes
-// and decodes it without a fingerprint (FromIndex adoption fills one
-// in), so existing index files migrate via a checkpoint instead of a
-// forced re-mine. Save always writes v2.
+// rebuilt on load.
 
 package index
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 
 	"pis/internal/binio"
-	"pis/internal/canon"
 	"pis/internal/distance"
-	"pis/internal/graph"
-	"pis/internal/rtree"
-	"pis/internal/trie"
 )
 
-// persistMagicV1 identified the legacy gob stream.
-const persistMagicV1 = "PIS-INDEX-v1"
-
-// persistMagicV2 leads the binary stream; 8 bytes, checked verbatim.
-const persistMagicV2 = "PISIDX2\n"
-
-// statsMagic tags the planner-statistics section appended after the
-// class sections ("PIST" little-endian). The header records whether the
-// section is present, so a stream truncated at the section boundary is
-// detected, while streams written before statistics existed (no flag
-// byte in the header) still load with stats recomputed on the fly.
-const statsMagic = 0x54534950
-
-// fpMagic tags the per-graph fingerprint section ("PISF" little-endian)
-// appended after the stats section. Announced by a second header flag
-// byte exactly like the stats section: streams written before
-// fingerprints existed have no flag byte left in the header and load with
-// fps recomputed by EnsureFingerprints when the index is attached to its
-// graphs.
-const fpMagic = 0x46534950
-
-// dto types: exported fields only, no behavior. Both the v1 gob decoder
-// and the v2 section decoder produce these; one reconstruction path
-// builds the live Index from them.
-type persistEntry struct {
-	Seq    []uint32  // trie / vptree sequence
-	Point  []float64 // rtree vector
-	Graphs []int32   // postings (trie) or single graph (vptree/rtree)
-}
-
-type persistClass struct {
-	Key       string
-	Code      []canon.Tuple
-	VOff      int
-	Postings  []int32
-	Fragments int
-	Entries   []persistEntry
-}
-
-type persistIndex struct {
-	Magic            string
-	Kind             int
-	MaxFragmentEdges int
-	DBSize           int
-	VertexBlind      bool
-	Fingerprint      uint64 // absent from v1 streams: decodes as 0
-	Classes          []persistClass
-}
-
-// Save writes the index to w in the v2 binary format. The metric itself
+// Save writes the index to w in the PISIDX3 format. The metric itself
 // is not serialized — the caller supplies an equivalent metric to Load —
 // but its vertex-blindness is recorded and checked, since it changes the
-// stored sequence layout. A mapped index streams its v3 file image
-// verbatim (the bytes are already its canonical serialization, and Load
-// understands v3 streams).
+// stored sequence layout. A mapped index writes its file image verbatim
+// (the bytes are already its canonical serialization).
 func (x *Index) Save(w io.Writer) error {
 	if x.mapping != nil {
 		_, err := w.Write(x.mapping.Data())
 		return err
 	}
-	return x.save(w, true)
-}
-
-// save writes the v2 stream; withStats=false omits the trailing
-// planner-stats and fingerprint sections (the shape of streams written
-// before they existed, kept reachable for the compatibility tests).
-func (x *Index) save(w io.Writer, withStats bool) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(persistMagicV2); err != nil {
-		return err
-	}
-	sw := binio.NewSectionWriter(bw)
-
-	sw.Begin()
-	sw.U8(byte(x.opts.Kind))
-	vb := byte(0)
-	if distance.IgnoresVertices(x.opts.Metric) {
-		vb = 1
-	}
-	sw.U8(vb)
-	sw.Uvarint(uint64(x.opts.MaxFragmentEdges))
-	sw.Uvarint(uint64(x.dbSize))
-	sw.U64(x.fingerprint)
-	sw.Uvarint(uint64(len(x.list)))
-	hasStats := byte(0)
-	if withStats {
-		hasStats = 1
-	}
-	sw.U8(hasStats)
-	hasFPs := byte(0)
-	if withStats && x.fps != nil {
-		hasFPs = 1
-	}
-	sw.U8(hasFPs)
-	if err := sw.Flush(); err != nil {
-		return err
-	}
-
+	var slab bytes.Buffer
+	sw := &v3SlabWriter{w: &slab}
+	dir := make([]v3DirClass, 0, len(x.list))
 	for _, c := range x.list {
-		sw.Begin()
-		sw.Uvarint(uint64(len(c.Code)))
-		for _, t := range c.Code {
-			sw.Varint(int64(t.I))
-			sw.Varint(int64(t.J))
-			sw.Uvarint(uint64(t.LI))
-			sw.Uvarint(uint64(t.LE))
-			sw.Uvarint(uint64(t.LJ))
+		dc := v3DirClass{
+			code:      c.Code,
+			vOff:      c.vOff,
+			fragments: c.fragments,
+			stats:     c.stats,
 		}
-		sw.Uvarint(uint64(c.vOff))
-		sw.Uvarint(uint64(c.fragments))
-		sw.Uvarint(uint64(len(c.postings)))
-		sw.I32Slab(c.postings)
-		switch x.opts.Kind {
-		case TrieIndex:
-			// Count first: walk once for the count, once for the payload.
-			n := 0
-			c.trie.Walk(func([]uint32, []int32) { n++ })
-			sw.Uvarint(uint64(n))
-			c.trie.Walk(func(seq []uint32, graphs []int32) {
-				sw.U32Slab(seq)
-				sw.Uvarint(uint64(len(graphs)))
-				sw.I32Slab(graphs)
-			})
-		case VPTreeIndex:
-			sw.Uvarint(uint64(len(c.vpSeq)))
-			for i, seq := range c.vpSeq {
-				sw.U32Slab(seq)
-				sw.U32(uint32(c.vpIDs[i]))
-			}
-		case RTreeIndex:
-			n := 0
-			c.rt.SearchRect(boundAll(c.rt.Dim()), func(rtree.Entry) bool { n++; return true })
-			sw.Uvarint(uint64(n))
-			c.rt.SearchRect(boundAll(c.rt.Dim()), func(e rtree.Entry) bool {
-				sw.F64Slab(e.Point)
-				sw.U32(uint32(e.Data))
-				return true
-			})
-		}
-		if err := sw.Flush(); err != nil {
-			return err
-		}
+		// Entries first, postings second: the streaming builder produces
+		// entries before it knows the class's full posting set, and the
+		// heap writer mirrors its layout.
+		entOff := sw.beginBlock()
+		dc.entOff = entOff
+		dc.entCount = x.writeClassEntries(sw, c)
+		dc.entLen, dc.entCRC = sw.endBlock(entOff)
+		postOff := sw.beginBlock()
+		dc.postOff = postOff
+		dc.postCount = len(c.postings)
+		sw.ids(c.postings)
+		dc.postLen, dc.postCRC = sw.endBlock(postOff)
+		dir = append(dir, dc)
 	}
-	if withStats {
-		sw.Begin()
-		sw.U32(statsMagic)
-		sw.Uvarint(uint64(len(x.list)))
-		for _, c := range x.list {
-			sw.Uvarint(uint64(c.stats.Sequences))
-			sw.Uvarint(uint64(c.stats.Pairs))
-			for _, h := range c.stats.Hist {
-				sw.Uvarint(uint64(h))
-			}
-		}
-		if err := sw.Flush(); err != nil {
-			return err
-		}
+	if sw.err != nil {
+		return sw.err
 	}
-	if hasFPs != 0 {
-		sw.Begin()
-		sw.U32(fpMagic)
-		sw.Uvarint(uint64(x.opts.sigWords()))
-		sw.Uvarint(uint64(len(x.fps)))
-		for i := range x.fps {
-			fp := &x.fps[i]
-			sw.Uvarint(uint64(fp.NV))
-			sw.Uvarint(uint64(fp.NE))
-			for _, c := range fp.DegTail {
-				sw.Uvarint(uint64(c))
-			}
-			for _, c := range fp.ELab {
-				sw.Uvarint(uint64(c))
-			}
-			for _, c := range fp.VLab {
-				sw.Uvarint(uint64(c))
-			}
-			for _, w := range fp.Sig {
-				sw.U64(w)
-			}
-		}
-		if err := sw.Flush(); err != nil {
-			return err
-		}
+	hdr := v3Header{
+		kind:        x.opts.Kind,
+		vertexBlind: distance.IgnoresVertices(x.opts.Metric),
+		maxEdges:    x.opts.MaxFragmentEdges,
+		dbSize:      x.dbSize,
+		fingerprint: x.fingerprint,
+		nClasses:    len(dir),
+		sigWords:    x.opts.sigWords(),
+		hasFPs:      x.fps != nil,
+		slabLen:     uint64(slab.Len()),
 	}
-	return bw.Flush()
+	var writeFPs func(fsw *binio.SectionWriter)
+	if hdr.hasFPs {
+		writeFPs = func(fsw *binio.SectionWriter) { encodeFPPayload(fsw, x.opts.sigWords(), x.fps) }
+	}
+	return writeV3(w, hdr, dir, writeFPs, &slab)
 }
 
-func boundAll(dim int) rtree.Rect {
-	min := make([]float64, dim)
-	max := make([]float64, dim)
-	for i := range min {
-		min[i] = -1e300
-		max[i] = 1e300
-	}
-	return rtree.Rect{Min: min, Max: max}
+// WriteMapped writes the index to path with Save, atomically (temp file,
+// fsync, rename). The file opens with OpenMapped or Load.
+func (x *Index) WriteMapped(path string) error {
+	return writeFileAtomic(path, x.Save)
 }
 
-// Load reconstructs an index written by Save, current or legacy format.
+// Load decodes a PISIDX3 stream written by Save into heap structures.
 // The metric must match the one used at build time (at minimum its
 // vertex-blindness must agree). The returned index carries the stream's
-// database fingerprint (zero for legacy v1 streams, which predate it);
-// callers attach the index to a graph set via segment.FromIndex, which
-// verifies the fingerprint against the actual graphs.
+// database fingerprint; segment.OpenDurable verifies it against the
+// graphs it is attached to.
 func Load(r io.Reader, metric distance.Metric) (*Index, error) {
 	if metric == nil {
 		return nil, fmt.Errorf("index: Metric is required")
 	}
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(persistMagicV2))
-	if err == nil && bytes.Equal(head, []byte(persistMagicV2)) {
-		br.Discard(len(persistMagicV2))
-		return loadV2(br, metric)
-	}
-	if err == nil && bytes.Equal(head, []byte(persistMagicV3)) {
-		// A mapped-format stream loads fully into heap structures: Load is
-		// the portability path, OpenMapped the out-of-core one.
-		data, rerr := io.ReadAll(br)
-		if rerr != nil {
-			return nil, fmt.Errorf("index: reading v3 stream: %w", rerr)
-		}
-		return loadV3Heap(data, metric)
-	}
-	// Not the v2 magic: try the legacy gob stream, whose own magic field
-	// rejects arbitrary garbage.
-	var p persistIndex
-	if err := gob.NewDecoder(br).Decode(&p); err != nil {
-		return nil, fmt.Errorf("index: not a PIS index stream: %w", err)
-	}
-	if p.Magic != persistMagicV1 {
-		return nil, fmt.Errorf("index: not a PIS index stream (magic %q)", p.Magic)
-	}
-	p.Fingerprint = 0 // v1 predates fingerprints even if a forged field decoded
-	x, err := fromDTO(&p, metric)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("index: reading stream: %w", err)
 	}
-	x.computeStats() // v1 predates planner statistics
-	return x, nil
+	return loadV3Heap(data, metric)
 }
 
-// loadV2 decodes the binary section stream after the magic.
-func loadV2(r io.Reader, metric distance.Metric) (*Index, error) {
-	sr := binio.NewSectionReader(r)
-	if err := sr.Next(); err != nil {
-		return nil, fmt.Errorf("index: header: %w", err)
-	}
-	p := persistIndex{Magic: persistMagicV2}
-	p.Kind = int(sr.U8())
-	vertexBlind := sr.U8()
-	p.MaxFragmentEdges = int(sr.Uvarint())
-	p.DBSize = int(sr.Uvarint())
-	p.Fingerprint = sr.U64()
-	nClasses := int(sr.Uvarint())
-	// Streams written before planner statistics stop here; newer ones
-	// append a flag announcing whether a stats section follows, so a
-	// missing announced section is corruption, not an old stream. The
-	// fingerprint flag extends the header the same way one generation
-	// later.
-	hasStats := sr.Remaining() > 0 && sr.U8() != 0
-	hasFPs := sr.Remaining() > 0 && sr.U8() != 0
-	if err := sr.Err(); err != nil {
-		return nil, fmt.Errorf("index: header: %w", err)
-	}
-	p.VertexBlind = vertexBlind != 0
-	p.Classes = make([]persistClass, 0, nClasses)
-	for ci := 0; ci < nClasses; ci++ {
-		if err := sr.Next(); err != nil {
-			return nil, fmt.Errorf("index: class %d/%d: %w", ci, nClasses, err)
-		}
-		var pc persistClass
-		codeLen := sr.Count(2, "code")
-		pc.Code = make([]canon.Tuple, codeLen)
-		for i := range pc.Code {
-			pc.Code[i] = canon.Tuple{
-				I:  int32(sr.Varint()),
-				J:  int32(sr.Varint()),
-				LI: graph.VLabel(sr.Uvarint()),
-				LE: graph.ELabel(sr.Uvarint()),
-				LJ: graph.VLabel(sr.Uvarint()),
-			}
-		}
-		pc.VOff = int(sr.Uvarint())
-		pc.Fragments = int(sr.Uvarint())
-		pc.Postings = sr.I32Slab(sr.Count(4, "postings"))
-		nEntries := sr.Count(1, "entries")
-		pc.Entries = make([]persistEntry, 0, nEntries)
-		code := canon.Code(pc.Code)
-		seqLen := pc.VOff + len(pc.Code) // vOff + edge count
-		for i := 0; i < nEntries; i++ {
-			var e persistEntry
-			switch Kind(p.Kind) {
-			case TrieIndex:
-				e.Seq = sr.U32Slab(seqLen)
-				e.Graphs = sr.I32Slab(sr.Count(4, "entry postings"))
-			case VPTreeIndex:
-				e.Seq = sr.U32Slab(seqLen)
-				e.Graphs = []int32{int32(sr.U32())}
-			case RTreeIndex:
-				e.Point = sr.F64Slab(seqLen)
-				e.Graphs = []int32{int32(sr.U32())}
-			default:
-				return nil, fmt.Errorf("index: unknown kind %d", p.Kind)
-			}
-			pc.Entries = append(pc.Entries, e)
-		}
-		if err := sr.Err(); err != nil {
-			return nil, fmt.Errorf("index: class %d/%d: %w", ci, nClasses, err)
-		}
-		pc.Key = code.Key()
-		p.Classes = append(p.Classes, pc)
-	}
-	x, err := fromDTO(&p, metric)
+// writeFileAtomic writes path through a temp file: content, fsync,
+// rename, then a best-effort directory fsync. Readers see the old file
+// or the new one, never a partial write.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
-		return nil, err
-	}
-	if !hasStats {
-		// Stats-less v2 stream (written before the planner existed):
-		// recompute deterministically from the loaded sequences.
-		x.computeStats()
-		return x, nil
-	}
-	if err := loadStats(sr, x); err != nil {
-		return nil, fmt.Errorf("index: stats section: %w (only the trailing statistics are damaged; restore the stream from a snapshot or rebuild the index)", err)
-	}
-	if !hasFPs {
-		// Fingerprint-less stream: EnsureFingerprints recomputes when the
-		// index is attached to its graph set (segment.FromIndex).
-		return x, nil
-	}
-	if err := loadFingerprints(sr, x); err != nil {
-		return nil, fmt.Errorf("index: fingerprint section: %w (only the trailing fingerprints are damaged; restore the stream from a snapshot or rebuild the index)", err)
-	}
-	return x, nil
-}
-
-// loadFingerprints decodes the checksummed fingerprint section into the
-// loaded index.
-func loadFingerprints(sr *binio.SectionReader, x *Index) error {
-	if err := sr.Next(); err != nil {
-		if err == io.EOF {
-			return fmt.Errorf("missing (stream truncated at the section boundary)")
-		}
 		return err
 	}
-	if m := sr.U32(); m != fpMagic {
-		return fmt.Errorf("bad section magic %08x", m)
+	defer os.Remove(tmp) // no-op after a successful rename
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	words := int(sr.Uvarint())
-	if words <= 0 || words > maxSigWords {
-		return fmt.Errorf("signature width %d words out of range", words)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	n := int(sr.Uvarint())
-	if n != x.dbSize {
-		return fmt.Errorf("covers %d graphs, index has %d", n, x.dbSize)
-	}
-	x.opts.SignatureWords = words
-	slab := make([]uint64, words*n)
-	fps := make([]GraphFP, n)
-	for i := range fps {
-		fp := &fps[i]
-		fp.NV = int32(sr.Uvarint())
-		fp.NE = int32(sr.Uvarint())
-		for k := range fp.DegTail {
-			fp.DegTail[k] = uint16(sr.Uvarint())
-		}
-		for k := range fp.ELab {
-			fp.ELab[k] = uint16(sr.Uvarint())
-		}
-		for k := range fp.VLab {
-			fp.VLab[k] = uint16(sr.Uvarint())
-		}
-		fp.Sig = slab[i*words : (i+1)*words : (i+1)*words]
-		for w := range fp.Sig {
-			fp.Sig[w] = sr.U64()
-		}
-	}
-	if err := sr.Err(); err != nil {
+	if err != nil {
 		return err
 	}
-	x.fps = fps
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	if d, derr := os.Open(filepath.Dir(path)); derr == nil {
+		d.Sync() // best effort: make the rename durable
+		d.Close()
+	}
 	return nil
-}
-
-// loadStats decodes the checksummed planner-statistics section into the
-// loaded classes. Any failure is reported as-is; the caller wraps it so
-// the error names the stats section instead of poisoning the classes
-// that already loaded cleanly.
-func loadStats(sr *binio.SectionReader, x *Index) error {
-	if err := sr.Next(); err != nil {
-		if err == io.EOF {
-			return fmt.Errorf("missing (stream truncated at the section boundary)")
-		}
-		return err
-	}
-	if m := sr.U32(); m != statsMagic {
-		return fmt.Errorf("bad section magic %08x", m)
-	}
-	if n := int(sr.Uvarint()); n != len(x.list) {
-		return fmt.Errorf("covers %d classes, index has %d", n, len(x.list))
-	}
-	for _, c := range x.list {
-		cs := ClassStats{Postings: int32(len(c.postings))}
-		cs.Sequences = int32(sr.Uvarint())
-		cs.Pairs = int32(sr.Uvarint())
-		for i := range cs.Hist {
-			cs.Hist[i] = int32(sr.Uvarint())
-		}
-		c.stats = cs
-	}
-	return sr.Err()
-}
-
-// fromDTO builds the live index from decoded persistence structs,
-// rebuilding automorphism permutations and bulk-loaded per-class trees.
-func fromDTO(p *persistIndex, metric distance.Metric) (*Index, error) {
-	if p.VertexBlind != distance.IgnoresVertices(metric) {
-		return nil, fmt.Errorf("index: metric vertex-blindness disagrees with the saved index")
-	}
-	x := &Index{
-		opts: Options{
-			Kind:             Kind(p.Kind),
-			Metric:           metric,
-			MaxFragmentEdges: p.MaxFragmentEdges,
-		},
-		classes:     make(map[string]*Class, len(p.Classes)),
-		dbSize:      p.DBSize,
-		fingerprint: p.Fingerprint,
-		memo:        canon.NewMemo(),
-	}
-	for _, pc := range p.Classes {
-		code := canon.Code(pc.Code)
-		cg := code.Graph()
-		_, embs := canon.MinCodeUnlabeled(cg)
-		c := &Class{
-			ID:        len(x.list),
-			Key:       pc.Key,
-			Code:      code,
-			Structure: cg,
-			NumV:      cg.N(),
-			NumE:      cg.M(),
-			vOff:      pc.VOff,
-			postings:  pc.Postings,
-			fragments: pc.Fragments,
-		}
-		if c.Key != code.Key() {
-			return nil, fmt.Errorf("index: class key does not match its code")
-		}
-		for _, a := range embs {
-			perm := make([]int, c.SeqLen())
-			for k := 0; k < c.vOff; k++ {
-				perm[k] = int(a.Vertices[k])
-			}
-			for t := 0; t < c.NumE; t++ {
-				perm[c.vOff+t] = c.vOff + int(a.Edges[t])
-			}
-			c.perms = append(c.perms, perm)
-		}
-		switch x.opts.Kind {
-		case TrieIndex:
-			c.trie = newTrieFor(c, pc.Entries)
-		case VPTreeIndex:
-			for _, e := range pc.Entries {
-				c.vpSeq = append(c.vpSeq, e.Seq)
-				c.vpIDs = append(c.vpIDs, e.Graphs[0])
-			}
-		case RTreeIndex:
-			for _, e := range pc.Entries {
-				c.rtEnt = append(c.rtEnt, rtree.Entry{Point: e.Point, Data: e.Graphs[0]})
-			}
-		default:
-			return nil, fmt.Errorf("index: unknown kind %d", p.Kind)
-		}
-		x.classes[c.Key] = c
-		x.list = append(x.list, c)
-	}
-	x.finalize() // rebuilds R-trees and VP-trees
-	return x, nil
-}
-
-func newTrieFor(c *Class, entries []persistEntry) *trie.Trie {
-	t := trie.New(c.SeqLen())
-	for _, e := range entries {
-		for _, id := range e.Graphs {
-			t.Insert(e.Seq, id)
-		}
-	}
-	return t
 }

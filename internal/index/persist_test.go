@@ -2,8 +2,8 @@ package index
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pis/internal/distance"
@@ -119,80 +119,17 @@ func sameEdges(a, b []int32) bool {
 	return true
 }
 
-// saveV1 replicates the legacy gob encoder (format "PIS-INDEX-v1") so the
-// compatibility read path is exercised against a faithfully shaped stream.
-func saveV1(t *testing.T, x *Index) []byte {
-	t.Helper()
-	p := persistIndex{
-		Magic:            persistMagicV1,
-		Kind:             int(x.opts.Kind),
-		MaxFragmentEdges: x.opts.MaxFragmentEdges,
-		DBSize:           x.dbSize,
-		VertexBlind:      distance.IgnoresVertices(x.opts.Metric),
-	}
-	for _, c := range x.list {
-		pc := persistClass{
-			Key:       c.Key,
-			Code:      c.Code,
-			VOff:      c.vOff,
-			Postings:  c.postings,
-			Fragments: c.fragments,
-		}
-		c.trie.Walk(func(seq []uint32, graphs []int32) {
-			pc.Entries = append(pc.Entries, persistEntry{
-				Seq:    append([]uint32(nil), seq...),
-				Graphs: graphs,
-			})
-		})
-		p.Classes = append(p.Classes, pc)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestPersistLoadsLegacyV1: a gob stream in the pre-v2 format still loads
-// (read-only migration path) and answers identically; its fingerprint is
-// unknown (0).
-func TestPersistLoadsLegacyV1(t *testing.T) {
-	metric := distance.EdgeMutation{}
-	x, db := buildSmall(t, TrieIndex, metric, 29, 14)
-	y, err := Load(bytes.NewReader(saveV1(t, x)), metric)
-	if err != nil {
-		t.Fatalf("legacy v1 stream rejected: %v", err)
-	}
-	if y.Fingerprint() != 0 {
-		t.Fatalf("legacy stream produced fingerprint %x, want 0 (unknown)", y.Fingerprint())
-	}
-	if sx, sy := x.Stats(), y.Stats(); sx != sy {
-		t.Fatalf("stats mismatch after legacy load: %+v vs %+v", sx, sy)
-	}
-	q := db[3]
-	for _, qf := range x.QueryFragments(q) {
-		want := x.RangeQuery(qf, 2)
-		got := map[int32]float64{}
-		for _, qf2 := range y.QueryFragments(q) {
-			if sameEdges(qf.Edges, qf2.Edges) {
-				got = y.RangeQuery(qf2, 2)
-				break
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("legacy range query differs: %d vs %d graphs", len(got), len(want))
-		}
-	}
-	// Adoption backfills the fingerprint exactly once.
-	y.AdoptFingerprint(42)
-	y.AdoptFingerprint(43)
-	if y.Fingerprint() != 42 {
-		t.Fatalf("AdoptFingerprint: got %d, want 42", y.Fingerprint())
+// TestPersistRejectsV2: a stream in the retired PISIDX2 format fails
+// with an error that names it, not a generic decode failure.
+func TestPersistRejectsV2(t *testing.T) {
+	_, err := Load(bytes.NewBufferString("PISIDX2\n\x10\x00\x00\x00"), distance.EdgeMutation{})
+	if err == nil || !strings.Contains(err.Error(), "PISIDX2") {
+		t.Fatalf("PISIDX2 stream: got %v, want an error naming PISIDX2", err)
 	}
 }
 
 // TestPersistFingerprintRoundTrip: a built index carries the fingerprint
-// of its graphs and the v2 stream preserves it bit for bit.
+// of its graphs and the saved stream preserves it bit for bit.
 func TestPersistFingerprintRoundTrip(t *testing.T) {
 	metric := distance.EdgeMutation{}
 	x, db := buildSmall(t, TrieIndex, metric, 17, 12)
@@ -212,7 +149,7 @@ func TestPersistFingerprintRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPersistDetectsCorruption: flipping any byte of the v2 stream must
+// TestPersistDetectsCorruption: flipping any byte of the saved stream must
 // surface as a load error (checksummed sections), never as a silently
 // different index.
 func TestPersistDetectsCorruption(t *testing.T) {

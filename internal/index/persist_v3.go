@@ -1,6 +1,7 @@
-// The v3 mapped index format ("PISIDX3\n"): the out-of-core layout that
-// lets an index far larger than RAM serve queries through a memory
-// mapping. The file is two regions:
+// The index format ("PISIDX3\n"), written by Save, WriteMapped and the
+// streaming builder. Its layout lets an index far larger than RAM serve
+// queries through a memory mapping (OpenMapped); Load decodes the same
+// bytes onto the heap. The file is two regions:
 //
 //	"PISIDX3\n"
 //	header section     kind, vertex-blindness, maxFragmentEdges, dbSize,
@@ -9,7 +10,7 @@
 //	directory section  per class: canonical code, vOff, fragment count,
 //	                   posting count/offset/length/CRC, entry
 //	                   count/offset/length/CRC, planner stats
-//	fingerprints       per-graph prescreen fingerprints (v2 encoding)
+//	fingerprints       per-graph prescreen fingerprints
 //	zero padding       to the page-aligned slab offset
 //	slab               per-class posting + entry blocks, delta+varint
 //
@@ -18,8 +19,8 @@
 // part that grows with the database — is only ever touched through the
 // mapping, decoded block-by-block into pooled scratch by RangeQueryInto.
 // Every section and every per-class slab block carries its own CRC32, so
-// OpenMapped names exactly what is corrupted or truncated, in the same
-// spirit as the v2 checksummed sections and the store's WAL frames.
+// OpenMapped and Load name exactly what is corrupted or truncated, in the
+// same spirit as the store's checksummed WAL frames.
 //
 // Slab encodings (offsets in the directory are relative to the slab):
 //
@@ -42,8 +43,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"slices"
 
 	"pis/internal/binio"
@@ -52,10 +51,14 @@ import (
 	"pis/internal/graph"
 	"pis/internal/mmapio"
 	"pis/internal/rtree"
+	"pis/internal/trie"
 )
 
-// persistMagicV3 leads the mapped index file; 8 bytes, checked verbatim.
-const persistMagicV3 = "PISIDX3\n"
+// persistMagic leads the index file; 8 bytes, checked verbatim.
+const persistMagic = "PISIDX3\n"
+
+// fpMagic tags the per-graph fingerprint section ("PISF" little-endian).
+const fpMagic = 0x46534950
 
 // v3SlabAlign page-aligns the slab so mapped block reads never straddle
 // the header region and the kernel can fault slab pages independently.
@@ -150,59 +153,6 @@ func (s *v3SlabWriter) ids(ids []int32) {
 	}
 }
 
-// WriteMapped writes the index to path in the v3 mapped format,
-// atomically (temp file + rename). The result round-trips through both
-// OpenMapped (zero-copy) and Load (heap).
-func (x *Index) WriteMapped(path string) error {
-	if x.mapping != nil {
-		// Already mapped: the file bytes are the canonical representation.
-		return copyFileBytes(path, x.mapping.Data())
-	}
-	var slab bytes.Buffer
-	sw := &v3SlabWriter{w: &slab}
-	dir := make([]v3DirClass, 0, len(x.list))
-	for _, c := range x.list {
-		dc := v3DirClass{
-			code:      c.Code,
-			vOff:      c.vOff,
-			fragments: c.fragments,
-			stats:     c.stats,
-		}
-		// Entries first, postings second: the streaming builder produces
-		// entries before it knows the class's full posting set, and the
-		// heap writer mirrors its layout.
-		entOff := sw.beginBlock()
-		dc.entOff = entOff
-		dc.entCount = x.writeClassEntries(sw, c)
-		dc.entLen, dc.entCRC = sw.endBlock(entOff)
-		postOff := sw.beginBlock()
-		dc.postOff = postOff
-		dc.postCount = len(c.postings)
-		sw.ids(c.postings)
-		dc.postLen, dc.postCRC = sw.endBlock(postOff)
-		dir = append(dir, dc)
-	}
-	if sw.err != nil {
-		return sw.err
-	}
-	hdr := v3Header{
-		kind:        x.opts.Kind,
-		vertexBlind: distance.IgnoresVertices(x.opts.Metric),
-		maxEdges:    x.opts.MaxFragmentEdges,
-		dbSize:      x.dbSize,
-		fingerprint: x.fingerprint,
-		nClasses:    len(dir),
-		sigWords:    x.opts.sigWords(),
-		hasFPs:      x.fps != nil,
-		slabLen:     uint64(slab.Len()),
-	}
-	var writeFPs func(fsw *binio.SectionWriter)
-	if hdr.hasFPs {
-		writeFPs = func(fsw *binio.SectionWriter) { encodeFPPayload(fsw, x.opts.sigWords(), x.fps) }
-	}
-	return writeV3File(path, hdr, dir, writeFPs, bytes.NewReader(slab.Bytes()))
-}
-
 // writeClassEntries encodes the class's stored entries in canonical
 // sorted order, returning the entry count.
 func (x *Index) writeClassEntries(sw *v3SlabWriter, c *Class) int {
@@ -274,8 +224,19 @@ func (x *Index) writeClassEntries(sw *v3SlabWriter, c *Class) int {
 	return 0
 }
 
-// encodeFPPayload writes the fingerprint section payload (shared with
-// the v2 stream encoding).
+// boundAll is the rectangle covering every point of an R-tree of
+// dimension dim, for full walks.
+func boundAll(dim int) rtree.Rect {
+	min := make([]float64, dim)
+	max := make([]float64, dim)
+	for i := range min {
+		min[i] = -1e300
+		max[i] = 1e300
+	}
+	return rtree.Rect{Min: min, Max: max}
+}
+
+// encodeFPPayload writes the fingerprint section payload.
 func encodeFPPayload(sw *binio.SectionWriter, words int, fps []GraphFP) {
 	sw.U32(fpMagic)
 	sw.Uvarint(uint64(words))
@@ -299,10 +260,10 @@ func encodeFPPayload(sw *binio.SectionWriter, words int, fps []GraphFP) {
 	}
 }
 
-// writeV3File assembles the final file: magic, header, directory,
+// writeV3 writes the whole image to w: magic, header, directory,
 // optional fingerprint section, padding, slab. hdr.slabOff is computed
 // here; hdr.slabLen must be set by the caller.
-func writeV3File(path string, hdr v3Header, dir []v3DirClass, writeFPs func(*binio.SectionWriter), slab io.Reader) error {
+func writeV3(w io.Writer, hdr v3Header, dir []v3DirClass, writeFPs func(*binio.SectionWriter), slab io.Reader) error {
 	encodeHeader := func(h v3Header) []byte {
 		var buf bytes.Buffer
 		sw := binio.NewSectionWriter(&buf)
@@ -376,65 +337,41 @@ func writeV3File(path string, hdr v3Header, dir []v3DirClass, writeFPs func(*bin
 	// The header's length does not depend on slabOff (fixed-width u64),
 	// so one dry encode fixes the layout and a second fills it in.
 	probe := encodeHeader(hdr)
-	preSlab := len(persistMagicV3) + len(probe) + dirBuf.Len() + fpBuf.Len()
+	preSlab := len(persistMagic) + len(probe) + dirBuf.Len() + fpBuf.Len()
 	hdr.slabOff = (uint64(preSlab) + v3SlabAlign - 1) / v3SlabAlign * v3SlabAlign
 
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp)
+	var err error
 	write := func(b []byte) {
 		if err == nil {
-			_, err = f.Write(b)
+			_, err = w.Write(b)
 		}
 	}
-	write([]byte(persistMagicV3))
+	write([]byte(persistMagic))
 	write(encodeHeader(hdr))
 	write(dirBuf.Bytes())
 	write(fpBuf.Bytes())
 	write(make([]byte, int(hdr.slabOff)-preSlab))
 	if err == nil {
-		_, err = io.Copy(f, slab)
+		_, err = io.Copy(w, slab)
 	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	if d, derr := os.Open(filepath.Dir(path)); derr == nil {
-		d.Sync() // best effort: make the rename durable
-		d.Close()
-	}
-	return nil
+	return err
 }
 
-func copyFileBytes(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// parseV3Meta decodes the header, directory, and fingerprint sections of
-// a v3 byte image, without touching the slab. Errors name the section.
-func parseV3Meta(data []byte, metric distance.Metric) (v3Header, []v3DirClass, []GraphFP, error) {
+// parseV3 decodes the header, directory, and fingerprint sections of an
+// index image and bounds-checks its slab, which it returns undecoded.
+// Errors name the section.
+func parseV3(data []byte, metric distance.Metric) (v3Header, []v3DirClass, []GraphFP, []byte, error) {
 	var hdr v3Header
-	if len(data) < len(persistMagicV3) || string(data[:len(persistMagicV3)]) != string(persistMagicV3) {
-		return hdr, nil, nil, fmt.Errorf("index: not a PISIDX3 image")
+	if !bytes.HasPrefix(data, []byte(persistMagic)) {
+		if bytes.HasPrefix(data, []byte("PISIDX2\n")) {
+			return hdr, nil, nil, nil, fmt.Errorf("index: PISIDX2 stream: that format is no longer readable, only PISIDX3; rebuild the index")
+		}
+		return hdr, nil, nil, nil, fmt.Errorf("index: not a PISIDX3 image")
 	}
-	sr := binio.NewSectionReader(bytes.NewReader(data[len(persistMagicV3):]))
+	rd := bytes.NewReader(data[len(persistMagic):])
+	sr := binio.NewSectionReader(rd)
 	if err := sr.Next(); err != nil {
-		return hdr, nil, nil, fmt.Errorf("index: mapped header: %w", err)
+		return hdr, nil, nil, nil, fmt.Errorf("index: mapped header: %w", err)
 	}
 	hdr.kind = Kind(sr.U8())
 	hdr.vertexBlind = sr.U8() != 0
@@ -447,22 +384,22 @@ func parseV3Meta(data []byte, metric distance.Metric) (v3Header, []v3DirClass, [
 	hdr.slabOff = sr.U64()
 	hdr.slabLen = sr.U64()
 	if err := sr.Err(); err != nil {
-		return hdr, nil, nil, fmt.Errorf("index: mapped header: %w", err)
+		return hdr, nil, nil, nil, fmt.Errorf("index: mapped header: %w", err)
 	}
 	if hdr.vertexBlind != distance.IgnoresVertices(metric) {
-		return hdr, nil, nil, fmt.Errorf("index: metric vertex-blindness disagrees with the saved index")
+		return hdr, nil, nil, nil, fmt.Errorf("index: metric vertex-blindness disagrees with the saved index")
 	}
 	switch hdr.kind {
 	case TrieIndex, VPTreeIndex, RTreeIndex:
 	default:
-		return hdr, nil, nil, fmt.Errorf("index: mapped header: unknown kind %d", int(hdr.kind))
+		return hdr, nil, nil, nil, fmt.Errorf("index: mapped header: unknown kind %d", int(hdr.kind))
 	}
 
 	if err := sr.Next(); err != nil {
 		if err == io.EOF {
-			return hdr, nil, nil, fmt.Errorf("index: mapped directory: missing (file truncated at the section boundary)")
+			return hdr, nil, nil, nil, fmt.Errorf("index: mapped directory: missing (file truncated at the section boundary)")
 		}
-		return hdr, nil, nil, fmt.Errorf("index: mapped directory: %w", err)
+		return hdr, nil, nil, nil, fmt.Errorf("index: mapped directory: %w", err)
 	}
 	dir := make([]v3DirClass, 0, hdr.nClasses)
 	for ci := 0; ci < hdr.nClasses; ci++ {
@@ -495,57 +432,126 @@ func parseV3Meta(data []byte, metric distance.Metric) (v3Header, []v3DirClass, [
 		}
 		dc.stats.Postings = int32(dc.postCount)
 		if err := sr.Err(); err != nil {
-			return hdr, nil, nil, fmt.Errorf("index: mapped directory: class %d/%d: %w", ci, hdr.nClasses, err)
+			return hdr, nil, nil, nil, fmt.Errorf("index: mapped directory: class %d/%d: %w", ci, hdr.nClasses, err)
 		}
 		dir = append(dir, dc)
 	}
 
 	var fps []GraphFP
 	if hdr.hasFPs {
-		x := &Index{dbSize: hdr.dbSize} // loadFingerprints target shim
-		if err := loadFingerprints(sr, x); err != nil {
-			return hdr, nil, nil, fmt.Errorf("index: mapped fingerprint section: %w", err)
+		var err error
+		if fps, err = decodeFPs(sr, hdr.sigWords, hdr.dbSize); err != nil {
+			return hdr, nil, nil, nil, fmt.Errorf("index: mapped fingerprint section: %w", err)
 		}
-		if x.opts.SignatureWords != hdr.sigWords {
-			return hdr, nil, nil, fmt.Errorf("index: mapped fingerprint section: signature width %d disagrees with header %d", x.opts.SignatureWords, hdr.sigWords)
-		}
-		fps = x.fps
 	}
-	return hdr, dir, fps, nil
+	// The zero padding up to the slab is the one region no checksum
+	// covers; it must be exactly that.
+	metaEnd := uint64(len(data) - rd.Len())
+	if hdr.slabOff < metaEnd {
+		return hdr, nil, nil, nil, fmt.Errorf("index: mapped header: slab offset %d overlaps the directory (ends at %d)", hdr.slabOff, metaEnd)
+	}
+	for i := metaEnd; i < hdr.slabOff && i < uint64(len(data)); i++ {
+		if data[i] != 0 {
+			return hdr, nil, nil, nil, fmt.Errorf("index: mapped padding before the slab is not zero")
+		}
+	}
+	if hdr.slabOff+hdr.slabLen < hdr.slabOff || hdr.slabOff+hdr.slabLen > uint64(len(data)) {
+		return hdr, nil, nil, nil, fmt.Errorf("index: mapped slab: truncated (file %d bytes, slab needs %d)", len(data), hdr.slabOff+hdr.slabLen)
+	}
+	return hdr, dir, fps, data[hdr.slabOff : hdr.slabOff+hdr.slabLen], nil
 }
 
-// scaffoldV3 builds the Class scaffolding (codes, perms, stats) shared by
-// the mapped and heap v3 loaders. Per-class storage stays empty.
-func scaffoldV3(hdr v3Header, dir []v3DirClass, fps []GraphFP, metric distance.Metric) (*Index, error) {
-	p := &persistIndex{
-		Magic:            persistMagicV3,
-		Kind:             int(hdr.kind),
-		MaxFragmentEdges: hdr.maxEdges,
-		DBSize:           hdr.dbSize,
-		VertexBlind:      hdr.vertexBlind,
-		Fingerprint:      hdr.fingerprint,
-	}
-	for _, dc := range dir {
-		p.Classes = append(p.Classes, persistClass{
-			Key:       dc.code.Key(),
-			Code:      dc.code,
-			VOff:      dc.vOff,
-			Fragments: dc.fragments,
-		})
-	}
-	x, err := fromDTO(p, metric)
-	if err != nil {
+// decodeFPs decodes the checksummed fingerprint section, which must
+// cover n graphs at the header's signature width.
+func decodeFPs(sr *binio.SectionReader, words, n int) ([]GraphFP, error) {
+	if err := sr.Next(); err != nil {
+		if err == io.EOF {
+			return nil, fmt.Errorf("missing (stream truncated at the section boundary)")
+		}
 		return nil, err
 	}
-	x.opts.SignatureWords = hdr.sigWords
-	for i, c := range x.list {
-		c.stats = dir[i].stats
+	if m := sr.U32(); m != fpMagic {
+		return nil, fmt.Errorf("bad section magic %08x", m)
 	}
-	x.fps = fps
+	if w := int(sr.Uvarint()); w != words {
+		return nil, fmt.Errorf("signature width %d disagrees with header %d", w, words)
+	}
+	if words <= 0 || words > maxSigWords {
+		return nil, fmt.Errorf("signature width %d words out of range", words)
+	}
+	if got := int(sr.Uvarint()); got != n {
+		return nil, fmt.Errorf("covers %d graphs, index has %d", got, n)
+	}
+	slab := make([]uint64, words*n)
+	fps := make([]GraphFP, n)
+	for i := range fps {
+		fp := &fps[i]
+		fp.NV = int32(sr.Uvarint())
+		fp.NE = int32(sr.Uvarint())
+		for k := range fp.DegTail {
+			fp.DegTail[k] = uint16(sr.Uvarint())
+		}
+		for k := range fp.ELab {
+			fp.ELab[k] = uint16(sr.Uvarint())
+		}
+		for k := range fp.VLab {
+			fp.VLab[k] = uint16(sr.Uvarint())
+		}
+		fp.Sig = slab[i*words : (i+1)*words : (i+1)*words]
+		for w := range fp.Sig {
+			fp.Sig[w] = sr.U64()
+		}
+	}
+	if err := sr.Err(); err != nil {
+		return nil, err
+	}
+	return fps, nil
+}
+
+// newV3Index builds the live index from a decoded header, directory and
+// fingerprint table: class codes, automorphism permutations and planner
+// stats. fill then attaches class ci's storage, decoded onto the heap or
+// left in the slab.
+func newV3Index(hdr v3Header, dir []v3DirClass, fps []GraphFP, metric distance.Metric, fill func(ci int, c *Class) error) (*Index, error) {
+	x := &Index{
+		opts: Options{
+			Kind:             hdr.kind,
+			Metric:           metric,
+			MaxFragmentEdges: hdr.maxEdges,
+			SignatureWords:   hdr.sigWords,
+		},
+		classes:     make(map[string]*Class, len(dir)),
+		dbSize:      hdr.dbSize,
+		fingerprint: hdr.fingerprint,
+		memo:        canon.NewMemo(),
+		fps:         fps,
+	}
+	for ci, dc := range dir {
+		c := newClass(ci, dc.code.Key(), dc.code, dc.code.Graph(), dc.vOff)
+		c.fragments = dc.fragments
+		c.stats = dc.stats
+		if err := fill(ci, c); err != nil {
+			return nil, err
+		}
+		x.classes[c.Key] = c
+		x.list = append(x.list, c)
+	}
 	return x, nil
 }
 
-// OpenMapped opens a v3 index file through a memory mapping: the
+// slabBlock returns one CRC-verified per-class block of the slab.
+func slabBlock(slab []byte, ci int, what string, off, length uint64, crc uint32) ([]byte, error) {
+	if off+length < off || off+length > uint64(len(slab)) {
+		return nil, fmt.Errorf("index: mapped slab: class %d %s block: truncated (slab %d bytes, block needs %d)", ci, what, len(slab), off+length)
+	}
+	b := slab[off : off+length]
+	if got := crc32.ChecksumIEEE(b); got != crc {
+		return nil, fmt.Errorf("index: mapped slab: class %d %s block: checksum mismatch (stored %08x, computed %08x)", ci, what, crc, got)
+	}
+	return b, nil
+}
+
+// OpenMapped opens an index file through a memory mapping: the
 // directory (class keys, offsets, stats, fingerprints) loads into heap,
 // posting and entry blocks stay on disk and are decoded from the mapping
 // at query time. Every block CRC is verified here, so corruption fails
@@ -568,134 +574,85 @@ func OpenMapped(path string, metric distance.Metric) (*Index, error) {
 	return x, nil
 }
 
-// openV3 builds a mapped index over a v3 byte image. mapping may be nil
+// openV3 builds a mapped index over an index image. mapping may be nil
 // (tests feed raw bytes); the index takes ownership when it is not.
 func openV3(data []byte, metric distance.Metric, mapping *mmapio.Mapping) (*Index, error) {
-	hdr, dir, fps, err := parseV3Meta(data, metric)
+	hdr, dir, fps, slab, err := parseV3(data, metric)
 	if err != nil {
 		return nil, err
 	}
-	if hdr.slabOff+hdr.slabLen < hdr.slabOff || hdr.slabOff+hdr.slabLen > uint64(len(data)) {
-		return nil, fmt.Errorf("index: mapped slab: truncated (file %d bytes, slab needs %d)", len(data), hdr.slabOff+hdr.slabLen)
-	}
-	slab := data[hdr.slabOff : hdr.slabOff+hdr.slabLen]
-	x, err := scaffoldV3(hdr, dir, fps, metric)
-	if err != nil {
-		return nil, err
-	}
-	for i, c := range x.list {
-		dc := dir[i]
-		block := func(what string, off, length uint64, crc uint32) ([]byte, error) {
-			if off+length < off || off+length > uint64(len(slab)) {
-				return nil, fmt.Errorf("index: mapped slab: class %d %s block: truncated (slab %d bytes, block needs %d)", i, what, len(slab), off+length)
-			}
-			b := slab[off : off+length]
-			if got := crc32.ChecksumIEEE(b); got != crc {
-				return nil, fmt.Errorf("index: mapped slab: class %d %s block: checksum mismatch (stored %08x, computed %08x)", i, what, crc, got)
-			}
-			return b, nil
+	x, err := newV3Index(hdr, dir, fps, metric, func(ci int, c *Class) error {
+		dc := dir[ci]
+		var err error
+		if c.entBlock, err = slabBlock(slab, ci, "entry", dc.entOff, dc.entLen, dc.entCRC); err != nil {
+			return err
 		}
-		if c.entBlock, err = block("entry", dc.entOff, dc.entLen, dc.entCRC); err != nil {
-			return nil, err
-		}
-		if c.postBlock, err = block("posting", dc.postOff, dc.postLen, dc.postCRC); err != nil {
-			return nil, err
+		if c.postBlock, err = slabBlock(slab, ci, "posting", dc.postOff, dc.postLen, dc.postCRC); err != nil {
+			return err
 		}
 		c.mapped = true
 		c.postCount = dc.postCount
 		c.entCount = dc.entCount
-		// The scaffolding's empty heap structures must never serve a
-		// mapped class; nil them so a missed mapped branch fails loudly.
-		c.trie = nil
-		c.vp = nil
-		c.vpSeq, c.vpIDs = nil, nil
-		c.rt = nil
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	x.mapping = mapping
 	return x, nil
 }
 
-// loadV3Heap decodes a full v3 image into an ordinary heap index —
-// identical in behavior to an index loaded from a v2 stream. This is the
-// Load path for v3 streams, and the mapped/heap differential's oracle.
+// loadV3Heap decodes a full index image into an ordinary heap index.
+// This is Load, and the mapped/heap differential's oracle.
 func loadV3Heap(data []byte, metric distance.Metric) (*Index, error) {
-	hdr, dir, fps, err := parseV3Meta(data, metric)
+	hdr, dir, fps, slab, err := parseV3(data, metric)
 	if err != nil {
 		return nil, err
 	}
-	if hdr.slabOff+hdr.slabLen < hdr.slabOff || hdr.slabOff+hdr.slabLen > uint64(len(data)) {
-		return nil, fmt.Errorf("index: mapped slab: truncated (file %d bytes, slab needs %d)", len(data), hdr.slabOff+hdr.slabLen)
-	}
-	slab := data[hdr.slabOff : hdr.slabOff+hdr.slabLen]
-	p := &persistIndex{
-		Magic:            persistMagicV3,
-		Kind:             int(hdr.kind),
-		MaxFragmentEdges: hdr.maxEdges,
-		DBSize:           hdr.dbSize,
-		VertexBlind:      hdr.vertexBlind,
-		Fingerprint:      hdr.fingerprint,
-	}
-	for ci, dc := range dir {
-		pc := persistClass{
-			Key:       dc.code.Key(),
-			Code:      dc.code,
-			VOff:      dc.vOff,
-			Fragments: dc.fragments,
-		}
-		seqLen := dc.vOff + len(dc.code)
-		check := func(what string, off, length uint64, crc uint32) ([]byte, error) {
-			if off+length < off || off+length > uint64(len(slab)) {
-				return nil, fmt.Errorf("index: mapped slab: class %d %s block: truncated (slab %d bytes, block needs %d)", ci, what, len(slab), off+length)
-			}
-			b := slab[off : off+length]
-			if got := crc32.ChecksumIEEE(b); got != crc {
-				return nil, fmt.Errorf("index: mapped slab: class %d %s block: checksum mismatch (stored %08x, computed %08x)", ci, what, crc, got)
-			}
-			return b, nil
-		}
-		pb, err := check("posting", dc.postOff, dc.postLen, dc.postCRC)
+	x, err := newV3Index(hdr, dir, fps, metric, func(ci int, c *Class) error {
+		dc := dir[ci]
+		pb, err := slabBlock(slab, ci, "posting", dc.postOff, dc.postLen, dc.postCRC)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		cur := blockCursor{b: pb}
-		pc.Postings = cur.idList(nil, dc.postCount)
+		c.postings = cur.idList(nil, dc.postCount)
 		if cur.bad {
-			return nil, fmt.Errorf("index: mapped slab: class %d posting block: malformed varint stream", ci)
+			return fmt.Errorf("index: mapped slab: class %d posting block: malformed varint stream", ci)
 		}
-		eb, err := check("entry", dc.entOff, dc.entLen, dc.entCRC)
+		eb, err := slabBlock(slab, ci, "entry", dc.entOff, dc.entLen, dc.entCRC)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		cur = blockCursor{b: eb}
+		L := c.SeqLen()
+		if hdr.kind == TrieIndex {
+			c.trie = trie.New(L)
+		}
 		for e := 0; e < dc.entCount; e++ {
-			var pe persistEntry
 			switch hdr.kind {
 			case TrieIndex:
-				pe.Seq = cur.symbols(make([]uint32, seqLen))
-				pe.Graphs = cur.idList(nil, int(cur.uvarint()))
+				seq := cur.symbols(make([]uint32, L))
+				for _, id := range cur.idList(nil, int(cur.uvarint())) {
+					c.trie.Insert(seq, id)
+				}
 			case VPTreeIndex:
-				pe.Seq = cur.symbols(make([]uint32, seqLen))
-				pe.Graphs = []int32{int32(cur.uvarint())}
+				c.vpSeq = append(c.vpSeq, cur.symbols(make([]uint32, L)))
+				c.vpIDs = append(c.vpIDs, int32(cur.uvarint()))
 			case RTreeIndex:
-				pe.Point = cur.floats(make([]float64, seqLen))
-				pe.Graphs = []int32{int32(cur.uvarint())}
+				p := cur.floats(make([]float64, L))
+				c.rtEnt = append(c.rtEnt, rtree.Entry{Point: p, Data: int32(cur.uvarint())})
 			}
-			pc.Entries = append(pc.Entries, pe)
 		}
 		if cur.bad {
-			return nil, fmt.Errorf("index: mapped slab: class %d entry block: malformed stream", ci)
+			return fmt.Errorf("index: mapped slab: class %d entry block: malformed stream", ci)
 		}
-		p.Classes = append(p.Classes, pc)
-	}
-	x, err := fromDTO(p, metric)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	x.opts.SignatureWords = hdr.sigWords
-	for i, c := range x.list {
-		c.stats = dir[i].stats
-	}
-	x.fps = fps
+	x.finalize() // bulk-loads R-trees and VP-trees
 	return x, nil
 }
 

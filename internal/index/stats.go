@@ -15,11 +15,9 @@
 //     of automorphism variants probed.
 //
 // Statistics are computed at build time (so Compact refreshes them with
-// every rebuilt index), persisted as a checksummed PISIDX2 section, and
-// recomputed deterministically on the fly for legacy streams that
-// predate them. Sampling is fixed-stride over the canonical storage
-// walk, never randomized, so Build, BuildParallel, and every Load of the
-// same index agree bit for bit.
+// every rebuilt index) and persisted in the checksummed index directory.
+// Sampling is fixed-stride over the canonical storage walk, never
+// randomized, so Build and BuildParallel agree bit for bit.
 
 package index
 
@@ -93,7 +91,7 @@ func (c *Class) ProbeCost() float64 {
 // computeStats fills every class's planner statistics from its stored
 // sequences. Deterministic: sampling is fixed-stride over the canonical
 // storage walk. Called after finalize (trees are walked, not staged
-// slices, so build and load paths share one implementation).
+// slices, so Build and BuildParallel share one implementation).
 func (x *Index) computeStats() {
 	for _, c := range x.list {
 		c.stats = x.classStats(c)
@@ -119,9 +117,8 @@ func (x *Index) classStats(c *Class) ClassStats {
 	cs := ClassStats{Postings: int32(len(c.postings))}
 	// Collect the stored sequences and sort them before sampling: the
 	// trie's walk order (and the R-tree's) depends on insertion order,
-	// which differs between a fresh build and a reload, while the sorted
-	// order — and therefore the sample and the histogram — is a pure
-	// function of the stored set.
+	// while the sorted order — and therefore the sample and the
+	// histogram — is a pure function of the stored set.
 	var seqs [][]uint32
 	var vecs [][]float64
 	switch x.opts.Kind {

@@ -103,80 +103,47 @@ func TestPersistStatsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPersistStatsLessV2Loads: a v2 stream written before planner
-// statistics existed (no stats section, no header flag) still loads,
-// with stats recomputed on the fly to the same values a build produces.
-func TestPersistStatsLessV2Loads(t *testing.T) {
-	metric := distance.EdgeMutation{}
-	x, _ := buildSmall(t, TrieIndex, metric, 53, 20)
-	var buf bytes.Buffer
-	if err := x.save(&buf, false); err != nil {
-		t.Fatal(err)
-	}
-	y, err := Load(&buf, metric)
-	if err != nil {
-		t.Fatalf("stats-less v2 stream rejected: %v", err)
-	}
-	statsEqual(t, x, y)
-}
-
-// TestPersistLegacyV1RecomputesStats: the legacy gob stream predates
-// statistics entirely; loading recomputes them deterministically.
-func TestPersistLegacyV1RecomputesStats(t *testing.T) {
-	metric := distance.EdgeMutation{}
-	x, _ := buildSmall(t, TrieIndex, metric, 59, 18)
-	y, err := Load(bytes.NewReader(saveV1(t, x)), metric)
-	if err != nil {
-		t.Fatal(err)
-	}
-	statsEqual(t, x, y)
-}
-
-// TestPersistCorruptStatsSection: corruption confined to the stats
-// section fails with an error naming it — not a generic class-decode
-// failure — and truncating the stream at the stats-section boundary is
-// detected rather than silently read as a stats-less stream.
+// TestPersistCorruptStatsSection: the planner statistics live in the
+// checksummed directory section, so corruption confined to it fails with
+// an error naming the directory — not a generic decode failure, and
+// never a silently different plan — and truncating the stream at the
+// directory boundary is detected.
 func TestPersistCorruptStatsSection(t *testing.T) {
 	metric := distance.EdgeMutation{}
 	x, _ := buildSmall(t, TrieIndex, metric, 61, 20)
-	var with, without bytes.Buffer
-	if err := x.Save(&with); err != nil {
+	var buf bytes.Buffer
+	if err := x.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := x.save(&without, false); err != nil {
-		t.Fatal(err)
+	clean := buf.Bytes()
+	sections, _ := v3Sections(t, clean)
+	if len(sections) < 2 {
+		t.Fatalf("expected header and directory sections, found %d", len(sections))
 	}
-	// The two streams differ only in the header flag bytes and the
-	// trailing stats + fingerprint sections, so every byte past the
-	// section-less length belongs to one of the trailing sections.
-	statsStart := without.Len()
-	clean := with.Bytes()
-	if statsStart >= len(clean) {
-		t.Fatalf("stats stream (%d bytes) not longer than stats-less (%d)", len(clean), statsStart)
-	}
+	dirSec := sections[1]
 
 	t.Run("truncated at boundary", func(t *testing.T) {
-		_, err := Load(bytes.NewReader(clean[:statsStart]), metric)
+		_, err := Load(bytes.NewReader(clean[:dirSec[0]-4]), metric)
 		if err == nil {
-			t.Fatal("stream truncated at the stats boundary loaded cleanly")
+			t.Fatal("stream truncated at the directory boundary loaded cleanly")
 		}
-		if !strings.Contains(err.Error(), "stats section") {
-			t.Fatalf("error does not name the stats section: %v", err)
+		if !strings.Contains(err.Error(), "directory") {
+			t.Fatalf("error does not name the directory: %v", err)
 		}
 	})
 
 	t.Run("bit flips inside the section", func(t *testing.T) {
-		// Flip one bit in every stats-section byte past the section's
-		// length prefix; each must fail, and each must name the section.
-		for pos := statsStart + 4; pos < len(clean); pos++ {
+		// Flip one bit in every directory byte (payload and CRC); each
+		// must fail, and each must name the section.
+		for pos := dirSec[0]; pos < dirSec[1]+4; pos++ {
 			dirty := append([]byte(nil), clean...)
 			dirty[pos] ^= 0x40
 			_, err := Load(bytes.NewReader(dirty), metric)
 			if err == nil {
-				t.Fatalf("bit flip at trailing-section byte %d loaded cleanly", pos)
+				t.Fatalf("bit flip at directory byte %d loaded cleanly", pos)
 			}
-			if !strings.Contains(err.Error(), "stats section") && !strings.Contains(err.Error(), "fingerprint section") {
-				t.Fatalf("bit flip at trailing-section byte %d: error does not name a trailing section: %v", pos, err)
+			if !strings.Contains(err.Error(), "directory") {
+				t.Fatalf("bit flip at directory byte %d: error does not name the directory: %v", pos, err)
 			}
 		}
 	})

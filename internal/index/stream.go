@@ -76,8 +76,8 @@ type StreamResult struct {
 	Classes    int
 	SpillRuns  int
 	SpillBytes int64
-	// RawPostingBytes is the uncompressed (v2-style, 4 bytes per id and
-	// symbol) volume of every posting list and stored entry — the
+	// RawPostingBytes is the uncompressed (4 bytes per id and symbol)
+	// volume of every posting list and stored entry — the
 	// "total posting bytes" a heap build would hold resident, and the
 	// denominator of the build's peak-RSS budget.
 	RawPostingBytes int64
@@ -208,7 +208,9 @@ func BuildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 		return res, err
 	}
 	defer slabFile.Close()
-	if err := writeV3File(path, hdr, dir, writeFPs, bufio.NewReaderSize(slabFile, 1<<16)); err != nil {
+	if err := writeFileAtomic(path, func(w io.Writer) error {
+		return writeV3(w, hdr, dir, writeFPs, bufio.NewReaderSize(slabFile, 1<<16))
+	}); err != nil {
 		return res, err
 	}
 	return res, nil

@@ -31,14 +31,13 @@
 // store's WAL and fsync'd before it is applied or acknowledged, Compact
 // and Checkpoint write atomic snapshots, and OpenDurable rebuilds the
 // exact pre-crash live state from the newest snapshot plus the valid WAL
-// prefix. A non-durable segment (New, FromIndex) behaves as before.
+// prefix. A non-durable segment (New) behaves as before.
 package segment
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"sync"
@@ -77,8 +76,8 @@ type Config struct {
 	// MappedIndex serves the base index memory-mapped from its v3 on-disk
 	// image instead of heap-resident: builds and compactions write the
 	// index in the mapped layout and reopen it through index.OpenMapped, a
-	// durable segment's snapshots keep the index in a side file the next
-	// OpenDurable maps directly, and only the class directory lives on the
+	// durable segment's snapshot index side file is mapped directly by
+	// the next OpenDurable, and only the class directory lives on the
 	// heap — posting and entry slabs stay in the page cache. Answers are
 	// identical either way. With MappedIndex set, Close also unmaps the
 	// index, so the segment must not serve queries after Close.
@@ -157,26 +156,6 @@ func New(graphs []*graph.Graph, startID int32, cfg Config) (*Segment, error) {
 	return fromIndex(base, sequentialIDs(startID, len(graphs)), idx, cfg)
 }
 
-// FromIndex wraps a pre-built index (for example one loaded from disk)
-// over graphs with global ids startID, startID+1, .... The index must
-// have been built over exactly these graphs in this order: the count and
-// the graph-set fingerprint are both verified, so an index stream paired
-// with the wrong database fails here with a descriptive error instead of
-// silently returning wrong answers. A legacy fingerprint-less index
-// (v1 stream) passes the count check only and adopts the fingerprint of
-// the graphs it is attached to.
-func FromIndex(graphs []*graph.Graph, startID int32, idx *index.Index, cfg Config) (*Segment, error) {
-	if idx.DBSize() != len(graphs) {
-		return nil, fmt.Errorf("segment: index covers %d graphs, slice has %d", idx.DBSize(), len(graphs))
-	}
-	fp := graph.Fingerprint(graphs)
-	if have := idx.Fingerprint(); have != 0 && have != fp {
-		return nil, fmt.Errorf("segment: index was built over a different graph set (index fingerprint %016x, graphs hash to %016x); rebuild or load the matching database", have, fp)
-	}
-	idx.AdoptFingerprint(fp)
-	return fromIndex(graphs, sequentialIDs(startID, len(graphs)), idx, cfg)
-}
-
 // NewDurable builds an indexed segment over graphs exactly like New and
 // roots it in the store directory dir: the initial snapshot is written
 // before NewDurable returns, and every later mutation is WAL-logged.
@@ -194,8 +173,7 @@ func NewDurable(dir string, graphs []*graph.Graph, startID int32, cfg Config) (*
 // Persist attaches a new backing store at dir to an in-memory segment,
 // writing its full current state (index included, no rebuild) as the
 // initial snapshot. Afterwards the segment is durable: mutations are
-// WAL-logged and OpenDurable recovers it. This is also the migration
-// path for legacy index files: load them the old way, then Persist.
+// WAL-logged and OpenDurable recovers it.
 func (s *Segment) Persist(dir string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -214,10 +192,10 @@ func (s *Segment) Persist(dir string) error {
 }
 
 // AbandonStore detaches the backing store and deletes its directory,
-// returning the segment to in-memory operation. A multi-segment Persist
-// uses it to roll back the shards that succeeded when a sibling failed,
-// so the database is never left half-durable (some shards fsync'ing
-// into stores that no root manifest will ever point at).
+// returning the segment to in-memory operation. shard.NewDurable uses it
+// to roll back the shards that succeeded when a sibling failed, so the
+// database is never left half-durable (some shards fsync'ing into stores
+// that no root manifest will ever point at).
 func (s *Segment) AbandonStore() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -243,10 +221,12 @@ func OpenDurable(dir string, cfg Config) (*Segment, error) {
 	}
 	if snap.Index.DBSize() != len(snap.Base) {
 		st.Close()
+		snap.Index.Close()
 		return nil, fmt.Errorf("segment: snapshot index covers %d graphs, snapshot has %d", snap.Index.DBSize(), len(snap.Base))
 	}
 	if fp := graph.Fingerprint(snap.Base); snap.Index.Fingerprint() != fp {
 		st.Close()
+		snap.Index.Close()
 		return nil, fmt.Errorf("segment: snapshot index fingerprint %016x does not match its graphs (%016x)", snap.Index.Fingerprint(), fp)
 	}
 	s, err := fromIndex(snap.Base, snap.BaseIDs, snap.Index, cfg)
@@ -350,9 +330,6 @@ func fromIndex(base []*graph.Graph, ids []int32, idx *index.Index, cfg Config) (
 		}
 		idx = mx
 	}
-	// Streams persisted before fingerprints existed load without them;
-	// recompute here so the prescreen tier is never silently absent.
-	idx.EnsureFingerprints(base)
 	maxID := int32(-1)
 	if len(ids) > 0 {
 		maxID = ids[len(ids)-1] // ids are ascending
@@ -821,18 +798,17 @@ func (s *Segment) AppendLiveIDs(dst []int32) []int32 {
 	return dst
 }
 
+// MappedIndexPath returns the backing file of a mapped base index, ""
+// for a heap index.
+func (s *Segment) MappedIndexPath() string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.idx.MappedPath()
+}
+
 // IndexStats returns the base index counters.
 func (s *Segment) IndexStats() index.Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.idx.Stats()
-}
-
-// SaveIndex serializes the base index (delta and tombstones are
-// in-memory only; compact first to capture them).
-func (s *Segment) SaveIndex(w io.Writer) error {
-	s.mu.RLock()
-	idx := s.idx
-	s.mu.RUnlock()
-	return idx.Save(w)
 }

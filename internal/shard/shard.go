@@ -32,14 +32,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"slices"
 	"sync"
 
 	"pis/internal/core"
-	"pis/internal/distance"
 	"pis/internal/graph"
 	"pis/internal/index"
 	"pis/internal/mining"
@@ -185,38 +183,34 @@ func New(graphs []*graph.Graph, nShards int, cfg Config) (*DB, error) {
 	return &DB{segs: segs, nextID: int32(len(graphs))}, nil
 }
 
-// NewDurable builds a sharded database like New and roots it at dir via
-// Persist: a root MANIFEST records the shard layout and every shard gets
-// its own segment store (snapshot + WAL) under a shard subdirectory.
+// NewDurable builds a sharded database like New and roots it at dir: a
+// root MANIFEST records the shard layout and every shard gets its own
+// segment store (snapshot + WAL) under a shard subdirectory, written in
+// parallel.
+//
+// The root MANIFEST is written last, only after every shard store is
+// fully established: a crash or error mid-NewDurable leaves no root
+// manifest, so the directory still reads as "no store" and the next
+// start rebuilds (leftover shard directories from such an aborted
+// attempt are cleared here first) instead of wedging on a manifest that
+// points at missing shards.
 func NewDurable(dir string, graphs []*graph.Graph, nShards int, cfg Config) (*DB, error) {
+	if store.RootExists(dir) {
+		return nil, fmt.Errorf("shard: %s already holds a database store", dir)
+	}
 	d, err := New(graphs, nShards, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := d.Persist(dir); err != nil {
+	if err := d.persist(dir); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// Persist attaches backing stores at dir to an in-memory database,
-// writing every shard's full current state (indexes included, no
-// rebuild) as initial snapshots, in parallel. This is the migration path
-// for legacy per-shard index files: Load them, then Persist.
-//
-// The root MANIFEST is written last, only after every shard store is
-// fully established: a crash or error mid-Persist leaves no root
-// manifest, so the directory still reads as "no store" and the next
-// start rebuilds (leftover shard directories from such an aborted
-// attempt are cleared here first) instead of wedging on a manifest that
-// points at missing shards.
-func (d *DB) Persist(dir string) error {
-	if d.Durable() {
-		return fmt.Errorf("shard: database is already durable")
-	}
-	if store.RootExists(dir) {
-		return fmt.Errorf("shard: %s already holds a database store", dir)
-	}
+// persist attaches backing stores at dir to the freshly built database,
+// writing every shard's full state as its initial snapshot.
+func (d *DB) persist(dir string) error {
 	errs := make([]error, len(d.segs))
 	var wg sync.WaitGroup
 	for i, seg := range d.segs {
@@ -224,7 +218,7 @@ func (d *DB) Persist(dir string) error {
 		go func(i int, seg *segment.Segment) {
 			defer wg.Done()
 			// No root manifest + an existing shard store = debris from a
-			// crashed earlier Persist; clear it so Create succeeds.
+			// crashed earlier NewDurable; clear it so Create succeeds.
 			sd := store.ShardDir(dir, i)
 			if store.Exists(sd) {
 				if errs[i] = os.RemoveAll(sd); errs[i] != nil {
@@ -237,9 +231,8 @@ func (d *DB) Persist(dir string) error {
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			// Roll the successful shards back to in-memory: a half-durable
-			// database would fsync mutations into stores no root manifest
-			// will ever name, and a Persist retry would be rejected.
+			// Close and remove the shard stores that succeeded, so a failed
+			// NewDurable holds no WAL handles and leaves no debris.
 			for _, seg := range d.segs {
 				seg.AbandonStore()
 			}
@@ -367,53 +360,6 @@ func (d *DB) Close() error {
 		}
 	}
 	return first
-}
-
-// Load reconstructs a sharded database from one index stream per shard,
-// written by SaveShard in shard order. The shard layout is recomputed with
-// Split(len(graphs), len(readers)) and each stream's recorded size must
-// match its slice, so a mismatched database or shard count fails loudly.
-func Load(graphs []*graph.Graph, readers []io.Reader, metric distance.Metric, copts core.Options) (*DB, error) {
-	return LoadConfig(graphs, readers, Config{Index: index.Options{Metric: metric}, Core: copts})
-}
-
-// LoadConfig is Load with the full shard configuration, so a loaded
-// database keeps its mining options for later compactions.
-func LoadConfig(graphs []*graph.Graph, readers []io.Reader, cfg Config) (*DB, error) {
-	if len(graphs) == 0 {
-		return nil, fmt.Errorf("shard: empty database")
-	}
-	if len(readers) == 0 {
-		return nil, fmt.Errorf("shard: no index streams")
-	}
-	if len(readers) > len(graphs) {
-		return nil, fmt.Errorf("shard: %d index streams for %d graphs", len(readers), len(graphs))
-	}
-	ranges := Split(len(graphs), len(readers))
-	scfg := cfg.segmentConfig(len(ranges))
-	segs := make([]*segment.Segment, len(ranges))
-	for i, rg := range ranges {
-		idx, err := index.Load(readers[i], cfg.Index.Metric)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		seg, err := segment.FromIndex(graphs[rg.Start:rg.End], int32(rg.Start), idx, scfg)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		segs[i] = seg
-	}
-	return &DB{segs: segs, nextID: int32(len(graphs))}, nil
-}
-
-// SaveShard writes shard i's base index to w; Load restores a database
-// from the streams of all shards in order. Deltas and tombstones are not
-// serialized — Compact first to fold them into the base.
-func (d *DB) SaveShard(i int, w io.Writer) error {
-	if i < 0 || i >= len(d.segs) {
-		return fmt.Errorf("shard: no shard %d (have %d)", i, len(d.segs))
-	}
-	return d.segs[i].SaveIndex(w)
 }
 
 // NumShards returns the shard count.

@@ -1,9 +1,8 @@
 package shard
 
 import (
-	"bytes"
-	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pis/internal/chem"
@@ -12,6 +11,7 @@ import (
 	"pis/internal/graph"
 	"pis/internal/index"
 	"pis/internal/mining"
+	"pis/internal/store"
 )
 
 func testConfig() Config {
@@ -155,20 +155,23 @@ func TestSearchBatchAligns(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundtrip: a durable database's per-shard stores reopen
+// through Open and answer identically.
 func TestSaveLoadRoundtrip(t *testing.T) {
-	db, sh, _ := buildEnv(t, 40, 3)
-	var bufs []bytes.Buffer
-	readers := make([]io.Reader, sh.NumShards())
-	bufs = make([]bytes.Buffer, sh.NumShards())
-	for i := 0; i < sh.NumShards(); i++ {
-		if err := sh.SaveShard(i, &bufs[i]); err != nil {
-			t.Fatalf("SaveShard(%d): %v", i, err)
-		}
-		readers[i] = &bufs[i]
-	}
-	loaded, err := Load(db, readers, distance.EdgeMutation{}, core.Options{})
+	db := chem.Generate(40, chem.Config{Seed: 7})
+	dir := t.TempDir()
+	sh, err := NewDurable(dir, db, 3, testConfig())
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	loaded, err := Open(dir, testConfig())
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer loaded.Close()
+	if loaded.NumShards() != 3 {
+		t.Fatalf("reopened NumShards = %d, want 3", loaded.NumShards())
 	}
 	q := chem.SampleQueries(db, 1, 8, 17)[0]
 	want := sh.Search(q, 2)
@@ -178,23 +181,22 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	}
 }
 
+// TestLoadShardCountMismatch: a root manifest naming more shards than
+// the store holds must fail to open, not silently serve a partial
+// database.
 func TestLoadShardCountMismatch(t *testing.T) {
-	db, sh, _ := buildEnv(t, 40, 3)
-	var buf bytes.Buffer
-	if err := sh.SaveShard(0, &buf); err != nil {
+	db := chem.Generate(40, chem.Config{Seed: 7})
+	dir := t.TempDir()
+	sh, err := NewDurable(dir, db, 3, testConfig())
+	if err != nil {
 		t.Fatal(err)
 	}
-	// One stream for a 40-graph database: shard 0's index covers 14
-	// graphs, not 40 — must fail, not silently mis-answer.
-	if _, err := Load(db, []io.Reader{&buf}, distance.EdgeMutation{}, core.Options{}); err == nil {
-		t.Fatal("Load with wrong shard count should fail")
+	sh.Close()
+	if err := store.WriteRootManifest(dir, 4); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestSaveShardOutOfRange(t *testing.T) {
-	_, sh, _ := buildEnv(t, 20, 2)
-	if err := sh.SaveShard(5, io.Discard); err == nil {
-		t.Fatal("SaveShard(5) of 2 should fail")
+	if _, err := Open(dir, testConfig()); err == nil || !strings.Contains(err.Error(), "shard 3") {
+		t.Fatalf("Open with a 4-shard manifest over 3 shard stores: %v, want a shard 3 error", err)
 	}
 }
 

@@ -6,7 +6,8 @@
 // Layout of one segment store directory:
 //
 //	MANIFEST              names the live snapshot/WAL pair (temp+rename)
-//	snap-<seq>.pissnap    snapshot: graphs, base index, tombstones, delta
+//	snap-<seq>.pissnap    snapshot: graphs, tombstones, delta
+//	idx-<seq>.pisidx3     the snapshot's base index (PISIDX3)
 //	wal-<seq>             mutation log since snapshot <seq>
 //
 // Every mutation is framed as a length-prefixed, CRC32-checksummed
@@ -27,7 +28,6 @@ package store
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -188,10 +188,9 @@ type OpenOptions struct {
 	// FS routes disk operations; nil means the real filesystem.
 	FS FS
 	// MappedIndex memory-maps the snapshot's index side file instead of
-	// decoding it onto the heap, when the snapshot has one (snapshots of a
-	// mapped index are written with the index in its own idx-*.pisidx3
-	// file). It requires the real filesystem; with an injected FS the side
-	// file is read through the FS and decoded onto the heap as usual.
+	// decoding it onto the heap. It requires the real filesystem; with an
+	// injected FS the side file is read through the FS and decoded onto
+	// the heap as usual.
 	MappedIndex bool
 }
 
@@ -382,17 +381,14 @@ func (s *Store) WriteSnapshot(snap *Snapshot) error {
 	seq := s.seq + 1
 	snapName := fmt.Sprintf("snap-%06d.pissnap", seq)
 	walName := fmt.Sprintf("wal-%06d", seq)
-	// A mapped index is already a complete on-disk image; keeping it in its
-	// own side file (referenced by name from the snapshot header) lets a
-	// later OpenWith memory-map it instead of decoding it onto the heap.
-	// The side file is written before the snapshot that names it, so the
-	// manifest swing below never exposes a snapshot whose index is missing.
-	idxFile := ""
-	if snap.Index != nil && snap.Index.IsMapped() {
-		idxFile = idxFileName(seq)
-		if err := writeFileAtomic(s.fsOrOS(), s.dir, idxFile, snap.Index.Save); err != nil {
-			return s.poisonLocked("writing index file", err)
-		}
+	// The index lives in its own side file (named by the snapshot header),
+	// so a later OpenWith can memory-map it instead of decoding it onto the
+	// heap. The side file is written before the snapshot that names it, so
+	// the manifest swing below never exposes a snapshot whose index is
+	// missing.
+	idxFile := idxFileName(seq)
+	if err := writeFileAtomic(s.fsOrOS(), s.dir, idxFile, snap.Index.Save); err != nil {
+		return s.poisonLocked("writing index file", err)
 	}
 	var snapBytes int64
 	if err := writeFileAtomic(s.fsOrOS(), s.dir, snapName, func(w io.Writer) error {
@@ -492,19 +488,17 @@ func ParseManifest(data []byte) (snapName, walName string, err error) {
 	return snapName, walName, nil
 }
 
-// snapChunk bounds one snapshot section payload. Graph sets and index
-// streams larger than this span several sections, each with its own
-// checksum, so a many-gigabyte database stays well under the per-section
-// cap and a checkpoint written is always a checkpoint loadable.
+// snapChunk bounds one snapshot section payload. Graph sets larger than
+// this span several sections, each with its own checksum, so a
+// many-gigabyte database stays well under the per-section cap and a
+// checkpoint written is always a checkpoint loadable.
 const snapChunk = 64 << 20
 
 // writeSnapshot serializes snap: magic, then a header section followed
-// by base graphs / index / tombstones / delta graphs, each spread over
-// one or more CRC-checksummed sections (the header carries the counts
-// and the index byte length, so the reader knows where each run ends).
-// A non-empty idxFile names the index side file written next to the
-// snapshot; the index is then not embedded (its length field is zero and
-// its chunk run is absent).
+// by base graphs / tombstones / delta graphs, each spread over one or
+// more CRC-checksummed sections (the header carries the counts, so the
+// reader knows where each run ends). idxFile names the index side file
+// written next to the snapshot.
 func writeSnapshot(w io.Writer, snap *Snapshot, seq uint64, idxFile string) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.WriteString(snapMagic); err != nil {
@@ -512,24 +506,15 @@ func writeSnapshot(w io.Writer, snap *Snapshot, seq uint64, idxFile string) erro
 	}
 	sw := binio.NewSectionWriter(bw)
 
-	var idx bytes.Buffer
-	if idxFile == "" {
-		if err := snap.Index.Save(&idx); err != nil {
-			return err
-		}
-	}
-
 	sw.Begin()
 	sw.U64(seq)
 	sw.U32(uint32(snap.NextID))
 	sw.Uvarint(uint64(len(snap.Base)))
 	sw.Uvarint(uint64(len(snap.Tombs)))
 	sw.Uvarint(uint64(len(snap.Delta)))
-	sw.U64(uint64(idx.Len()))
-	// Trailing header fields added after PISSNAP2 shipped: the index side
-	// file name, then the mutation sequence. Old snapshots end the header
-	// at idxLen; the reader treats the absent fields as "index embedded"
-	// and "sequence unknown (0)".
+	// Length of an index embedded in the snapshot: always zero now; see
+	// loadSnapshot for the layout that used it.
+	sw.U64(0)
 	sw.Uvarint(uint64(len(idxFile)))
 	sw.Bytes([]byte(idxFile))
 	sw.U64(snap.MutSeq)
@@ -558,22 +543,6 @@ func writeSnapshot(w io.Writer, snap *Snapshot, seq uint64, idxFile string) erro
 		return err
 	}
 
-	for b := idx.Bytes(); idxFile == ""; {
-		chunk := b
-		if len(chunk) > snapChunk {
-			chunk = b[:snapChunk]
-		}
-		sw.Begin()
-		sw.Bytes(chunk)
-		if err := sw.Flush(); err != nil {
-			return err
-		}
-		b = b[len(chunk):]
-		if len(b) == 0 {
-			break
-		}
-	}
-
 	sw.Begin()
 	sw.I32Slab(snap.Tombs)
 	if err := sw.Flush(); err != nil {
@@ -587,8 +556,8 @@ func writeSnapshot(w io.Writer, snap *Snapshot, seq uint64, idxFile string) erro
 }
 
 // loadSnapshot reads and verifies one snapshot file. mapped asks for the
-// index side file (when the snapshot has one) to be memory-mapped rather
-// than heap-decoded; it must only be set when fs is the real filesystem.
+// index side file to be memory-mapped rather than heap-decoded; it must
+// only be set when fs is the real filesystem.
 func loadSnapshot(fs FS, path string, metric distance.Metric, mapped bool) (*Snapshot, uint64, error) {
 	f, err := fs.Open(path)
 	if err != nil {
@@ -611,7 +580,7 @@ func loadSnapshot(fs FS, path string, metric distance.Metric, mapped bool) (*Sna
 	nDelta := int(sr.Uvarint())
 	idxLen := sr.U64()
 	idxFile := ""
-	if sr.Remaining() > 0 { // absent in snapshots written before side files
+	if sr.Remaining() > 0 {
 		idxFile = string(sr.Bytes(int(sr.Uvarint())))
 	}
 	if sr.Remaining() > 0 { // absent before the mutation sequence existed
@@ -619,6 +588,11 @@ func loadSnapshot(fs FS, path string, metric distance.Metric, mapped bool) (*Sna
 	}
 	if err := sr.Err(); err != nil {
 		return nil, 0, fmt.Errorf("header: %w", err)
+	}
+	if idxFile == "" || idxLen != 0 {
+		// Snapshots once embedded their index (in a retired index
+		// format) after the base graphs instead of naming a side file.
+		return nil, 0, fmt.Errorf("header: snapshot embeds its index (the layout before idx-*.pisidx3 side files), which this version cannot read; rebuild the store from its graphs")
 	}
 	if strings.ContainsAny(idxFile, "/\\") {
 		return nil, 0, fmt.Errorf("header: index file name %q escapes the store directory", idxFile)
@@ -654,46 +628,6 @@ func loadSnapshot(fs FS, path string, metric distance.Metric, mapped bool) (*Sna
 		return nil, 0, err
 	}
 
-	if idxFile != "" {
-		ip := filepath.Join(filepath.Dir(path), idxFile)
-		if mapped {
-			if snap.Index, err = index.OpenMapped(ip, metric); err != nil {
-				return nil, 0, fmt.Errorf("index file %s: %w", idxFile, err)
-			}
-		} else {
-			data, rerr := fs.ReadFile(ip)
-			if rerr != nil {
-				return nil, 0, fmt.Errorf("index file %s: %w", idxFile, rerr)
-			}
-			if snap.Index, err = index.Load(bytes.NewReader(data), metric); err != nil {
-				return nil, 0, fmt.Errorf("index file %s: %w", idxFile, err)
-			}
-		}
-	} else {
-		// idxLen comes from the checksummed header, so trust it for the loop
-		// bound — but grow the buffer from one chunk instead of preallocating
-		// the full length, so even an (astronomically unlikely) corrupt value
-		// that survived the CRC fails at a torn-section error, not an
-		// allocation bomb.
-		idxCap := idxLen
-		if idxCap > snapChunk {
-			idxCap = snapChunk
-		}
-		idxBytes := make([]byte, 0, idxCap)
-		for uint64(len(idxBytes)) < idxLen {
-			if err := sr.Next(); err != nil {
-				return nil, 0, fmt.Errorf("index chunk at byte %d: %w", len(idxBytes), err)
-			}
-			idxBytes = append(idxBytes, sr.Bytes(sr.Remaining())...)
-		}
-		if uint64(len(idxBytes)) != idxLen {
-			return nil, 0, fmt.Errorf("index: chunks hold %d bytes, header says %d", len(idxBytes), idxLen)
-		}
-		if snap.Index, err = index.Load(bytes.NewReader(idxBytes), metric); err != nil {
-			return nil, 0, fmt.Errorf("index: %w", err)
-		}
-	}
-
 	if err := sr.Next(); err != nil {
 		return nil, 0, fmt.Errorf("tombstones: %w", err)
 	}
@@ -704,6 +638,23 @@ func loadSnapshot(fs FS, path string, metric distance.Metric, mapped bool) (*Sna
 
 	if snap.Delta, snap.DeltaIDs, err = readGraphs(nDelta, "delta"); err != nil {
 		return nil, 0, err
+	}
+
+	// The index is loaded last, so no later error leaves a mapping open.
+	ip := filepath.Join(filepath.Dir(path), idxFile)
+	if mapped {
+		if snap.Index, err = index.OpenMapped(ip, metric); err != nil {
+			return nil, 0, fmt.Errorf("index file %s: %w", idxFile, err)
+		}
+	} else {
+		xf, err := fs.Open(ip)
+		if err != nil {
+			return nil, 0, fmt.Errorf("index file %s: %w", idxFile, err)
+		}
+		defer xf.Close()
+		if snap.Index, err = index.Load(xf, metric); err != nil {
+			return nil, 0, fmt.Errorf("index file %s: %w", idxFile, err)
+		}
 	}
 	return snap, seq, nil
 }
@@ -822,10 +773,9 @@ func ShardDir(root string, i int) string {
 }
 
 // RootExists reports whether root holds a database store. It checks the
-// manifest's content, not just its presence: on a case-insensitive
-// filesystem a legacy index dir's lowercase "manifest" (a bare
-// fingerprint) would otherwise satisfy a stat of "MANIFEST" and block
-// the documented in-place migration.
+// manifest's content, not just its presence, so an unrelated file that
+// happens to be named MANIFEST (or, on a case-insensitive filesystem,
+// manifest) does not read as a store.
 func RootExists(root string) bool {
 	data, err := os.ReadFile(filepath.Join(root, manifestName))
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"pis/internal/distance"
@@ -86,6 +88,18 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	if s := st.Stats(); s.WALRecords != 2 || s.SnapshotSeq != 1 || s.Checkpoints != 1 {
 		t.Fatalf("stats = %+v, want 2 wal records, seq 1", s)
+	}
+	// A heap index is written to its side file like a mapped one, and a
+	// full transfer ships it.
+	if _, err := os.Stat(filepath.Join(dir, "idx-000001.pisidx3")); err != nil {
+		t.Fatalf("snapshot index side file: %v", err)
+	}
+	ts, err := st.TransferState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(ts.Files, "idx-000001.pisidx3") {
+		t.Fatalf("transfer set %v omits the index side file", ts.Files)
 	}
 	st.Close()
 
@@ -252,6 +266,31 @@ func TestRootManifest(t *testing.T) {
 	}
 	if ShardDir(root, 2) != filepath.Join(root, "shard-002") {
 		t.Fatalf("ShardDir = %q", ShardDir(root, 2))
+	}
+}
+
+// TestOpenRejectsEmbeddedIndexSnapshot: a snapshot whose header names no
+// index side file — the layout that embedded the index — fails to open
+// with an error naming that layout.
+func TestOpenRejectsEmbeddedIndexSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	graphs, idx := testState(t, 8, 7)
+	createWithSnapshot(t, dir, graphs, idx).Close()
+	snapName, _, err := readManifest(OSFS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	snap := &Snapshot{NextID: int32(len(graphs)), Base: graphs, BaseIDs: seqIDs(0, len(graphs)), Index: idx}
+	if err := writeSnapshot(&buf, snap, 1, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapName), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, err = Open(dir, distance.EdgeMutation{})
+	if err == nil || !strings.Contains(err.Error(), "embeds its index") {
+		t.Fatalf("embedded-index snapshot: got %v, want an error naming the layout", err)
 	}
 }
 

@@ -59,8 +59,10 @@ func TestMappedMutationDifferentialSharded(t *testing.T) {
 // mutations and a checkpoint, then reopens the store three ways — mapped,
 // heap (same snapshot, index side file decoded instead of mapped), and a
 // fresh in-memory build over the survivors — and requires identical
-// answers from all of them. It also pins the storage contract: a mapped
-// database's snapshot keeps the index in an idx-*.pisidx3 side file.
+// answers from all of them. A store built heap-resident reopens mapped
+// the same way. It also pins the storage contract: every snapshot keeps
+// the index in an idx-*.pisidx3 side file, and a mapped reopen serves
+// that very file, not a temporary copy.
 func TestMappedDurableReopen(t *testing.T) {
 	mopts, hopts := mappedOpts()
 	dir := t.TempDir()
@@ -106,6 +108,9 @@ func TestMappedDurableReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if p := pis.MappedIndexPath(reopened); p != side[0] {
+		t.Fatalf("mapped reopen serves %q, want the store's side file %q", p, side[0])
+	}
 	check("mapped reopen", reopened)
 	if err := reopened.Close(); err != nil {
 		t.Fatal(err)
@@ -119,6 +124,39 @@ func TestMappedDurableReopen(t *testing.T) {
 	}
 	check("heap reopen of mapped store", heapDB)
 	if err := heapDB.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A store created without MappedIndex reopens with it.
+	hdir := t.TempDir()
+	hdb, err := pis.Create(hdir, initial, hopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range pool[:4] {
+		if _, err := hdb.Insert(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ok, err := hdb.Delete(5); !ok || err != nil {
+		t.Fatalf("Delete: %v, %v", ok, err)
+	}
+	if err := hdb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	hside, err := filepath.Glob(filepath.Join(hdir, "shard-000", "idx-*.pisidx3"))
+	if err != nil || len(hside) != 1 {
+		t.Fatalf("heap store holds %d index side files (%v, err %v), want exactly 1", len(hside), hside, err)
+	}
+	mappedHeap, err := pis.Open(hdir, mopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := pis.MappedIndexPath(mappedHeap); p != hside[0] {
+		t.Fatalf("mapped reopen of heap store serves %q, want the store's side file %q", p, hside[0])
+	}
+	check("mapped reopen of heap store", mappedHeap)
+	if err := mappedHeap.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

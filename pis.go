@@ -24,11 +24,10 @@
 // canonical-query result cache.
 //
 // Databases are durable when rooted in a data directory with Create /
-// CreateSharded (or upgraded in place with Persist): every Insert and
-// Delete is fsync'd to a write-ahead log before it is acknowledged,
-// Checkpoint and Compact write atomic snapshots, and Open / OpenSharded
-// recover the exact acknowledged state after a crash — no re-mining, no
-// data loss, torn log tails dropped. See README.md at the repository
+// CreateSharded: every Insert and Delete is fsync'd to a write-ahead log
+// before it is acknowledged, Checkpoint and Compact write atomic
+// snapshots, and Open / OpenSharded recover the exact acknowledged state
+// after a crash — no re-mining, no data loss, torn log tails dropped. See README.md at the repository
 // root for a quickstart, the transaction file format, durability
 // guarantees, and server usage.
 package pis
@@ -493,56 +492,41 @@ func (db *Database) Durability() DurabilityStats {
 // before Create returns, every later Insert and Delete is appended to a
 // write-ahead log and fsync'd before it is acknowledged, and Open
 // restores the exact acknowledged state after a crash or restart.
+//
+// The root manifest is written last, after the shard store is fully
+// established, so a crash mid-Create leaves a directory that still
+// reads as "no store" and the next start rebuilds instead of wedging.
 func Create(dir string, graphs []*Graph, opts Options) (*Database, error) {
+	if store.RootExists(dir) {
+		return nil, fmt.Errorf("pis: %s already holds a database store (use Open)", dir)
+	}
 	db, err := New(graphs, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := db.Persist(dir); err != nil {
-		return nil, err
-	}
-	return db, nil
-}
-
-// Persist attaches a new backing store at dir to an in-memory database,
-// writing its full current state (index included, no rebuild) as the
-// initial snapshot; afterwards the database is durable exactly as if
-// built by Create. This is the migration path for legacy SaveIndex
-// streams: LoadIndex the old files, Persist, and restarts go through
-// Open from then on.
-//
-// The root manifest is written last, after the shard store is fully
-// established, so a crash mid-Persist leaves a directory that still
-// reads as "no store" and the next start rebuilds instead of wedging.
-func (db *Database) Persist(dir string) error {
-	if db.seg.Durable() {
-		return fmt.Errorf("pis: database is already durable")
-	}
-	if store.RootExists(dir) {
-		return fmt.Errorf("pis: %s already holds a database store (use Open)", dir)
-	}
 	sd := store.ShardDir(dir, 0)
 	if store.Exists(sd) {
-		// Debris from a crashed earlier Persist (no root manifest exists).
+		// Debris from a crashed earlier Create (no root manifest exists).
 		if err := os.RemoveAll(sd); err != nil {
-			return fmt.Errorf("pis: %w", err)
+			return nil, fmt.Errorf("pis: %w", err)
 		}
 	}
 	if err := db.seg.Persist(sd); err != nil {
-		return fmt.Errorf("pis: %w", err)
+		return nil, fmt.Errorf("pis: %w", err)
 	}
 	if err := store.WriteRootManifest(dir, 1); err != nil {
-		return fmt.Errorf("pis: %w", err)
+		return nil, fmt.Errorf("pis: %w", err)
 	}
-	return nil
+	return db, nil
 }
 
 // Open recovers a durable database from its data directory: the newest
 // valid snapshot is loaded (no re-mining), the WAL's valid prefix is
 // replayed, and a torn final record — a crash mid-write of a mutation
 // that was never acknowledged — is dropped. Search-stage options and
-// mutation knobs are honored from opts exactly as in LoadIndex;
-// opts.Metric must match the build-time metric.
+// mutation knobs (mining options and CompactFraction, used by later
+// compactions) are honored from opts; opts.Metric must match the
+// build-time metric.
 func Open(dir string, opts Options) (*Database, error) {
 	nShards, err := store.ReadRootManifest(dir)
 	if err != nil {
@@ -724,43 +708,6 @@ func (db *Database) Stats() IndexStats {
 	}
 }
 
-// SaveIndex serializes the fragment index so a later process can skip the
-// mining and index-construction cost. The graphs themselves are not
-// included; persist them separately with WriteDatabase. Only the indexed
-// base is written — Compact first if the database has live mutations.
-//
-// Deprecated: the reader/writer plumbing persists only the frozen index
-// and loses live mutations. Use Create/Open, which persist the whole
-// database (graphs, index, delta, tombstones) with crash recovery.
-func (db *Database) SaveIndex(w io.Writer) error {
-	return db.seg.SaveIndex(w)
-}
-
-// LoadIndex reconstructs a Database from graphs plus an index stream
-// written by SaveIndex. The graphs must be the exact database the index
-// was built over (same contents, same order) — current streams embed a
-// fingerprint of that graph set and any mismatch fails loudly here;
-// legacy fingerprint-less v1 streams still load, checked by size only.
-// opts.Metric must match the build-time metric; search-stage options
-// (Epsilon, Lambda, PartitionK, MaxFragmentsPerQuery, VerifyWorkers)
-// plus the mutation knobs (mining options and CompactFraction, used by
-// later compactions) are honored from opts.
-//
-// Deprecated: use Create/Open, which persist the whole database with
-// crash recovery instead of just the frozen index.
-func LoadIndex(graphs []*Graph, r io.Reader, opts Options) (*Database, error) {
-	opts = opts.withDefaults()
-	idx, err := index.Load(r, opts.Metric)
-	if err != nil {
-		return nil, fmt.Errorf("pis: loading index: %w", err)
-	}
-	seg, err := segment.FromIndex(graphs, 0, idx, opts.segmentConfig())
-	if err != nil {
-		return nil, fmt.Errorf("pis: %w", err)
-	}
-	return &Database{seg: seg, nextID: int32(len(graphs)), queryTimeout: opts.QueryTimeout}, nil
-}
-
 // Sharded is an indexed graph database split into contiguous shards, each
 // with its own fragment index, searched with parallel fan-out and merge.
 // It answers exactly like a Database over the same graphs: Search returns
@@ -852,30 +799,16 @@ func (s *Sharded) Durability() DurabilityStats {
 // every shard gets its own snapshot + WAL pair. See Create for the
 // durability contract.
 func CreateSharded(dir string, graphs []*Graph, nShards int, opts Options) (*Sharded, error) {
-	s, err := NewSharded(graphs, nShards, opts)
+	opts = opts.withDefaults()
+	db, err := shard.NewDurable(dir, graphs, nShards, opts.shardConfig())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pis: %w", err)
 	}
-	if err := s.Persist(dir); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Persist attaches new backing stores at dir to an in-memory sharded
-// database, writing every shard's current state as initial snapshots (no
-// rebuild). The migration path for legacy SaveShardIndex streams:
-// LoadShardedIndex the old files, Persist, then restart through
-// OpenSharded.
-func (s *Sharded) Persist(dir string) error {
-	if err := s.db.Persist(dir); err != nil {
-		return fmt.Errorf("pis: %w", err)
-	}
-	return nil
+	return &Sharded{db: db, queryTimeout: opts.QueryTimeout}, nil
 }
 
 // StoreExists reports whether dir holds a database store written by
-// Create/CreateSharded/Persist (a parseable root manifest), so callers
+// Create/CreateSharded (a parseable root manifest), so callers
 // can decide between Open and a fresh build without trial and error.
 func StoreExists(dir string) bool {
 	_, err := store.ReadRootManifest(dir)
@@ -976,35 +909,6 @@ func (s *Sharded) Stats() IndexStats {
 		Features: st.Classes, Fragments: st.Fragments, Sequences: st.Sequences,
 		Delta: delta, Tombstones: tombs,
 	}
-}
-
-// SaveShardIndex serializes shard i's fragment index (0 <= i < NumShards).
-// Writing every shard's stream lets LoadShardedIndex restore the database
-// without re-mining after a restart.
-//
-// Deprecated: use CreateSharded/OpenSharded, which persist the whole
-// database (graphs, indexes, mutations) with crash recovery.
-func (s *Sharded) SaveShardIndex(i int, w io.Writer) error {
-	return s.db.SaveShard(i, w)
-}
-
-// LoadShardedIndex reconstructs a Sharded database from graphs plus one
-// index stream per shard, written by SaveShardIndex in shard order. The
-// graphs must be the exact database the indexes were built over (current
-// streams carry a per-shard graph-set fingerprint; a mismatch fails with
-// the offending shard number), the shard count is len(readers), and
-// opts.Metric must match the build-time metric; only search-stage
-// options are honored from opts.
-//
-// Deprecated: use CreateSharded/OpenSharded, which persist the whole
-// database with crash recovery.
-func LoadShardedIndex(graphs []*Graph, readers []io.Reader, opts Options) (*Sharded, error) {
-	opts = opts.withDefaults()
-	db, err := shard.LoadConfig(graphs, readers, opts.shardConfig())
-	if err != nil {
-		return nil, fmt.Errorf("pis: %w", err)
-	}
-	return &Sharded{db: db, queryTimeout: opts.QueryTimeout}, nil
 }
 
 // ReadDatabase loads graphs in the line-oriented transaction format

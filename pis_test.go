@@ -2,6 +2,7 @@ package pis_test
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 
 	"pis"
@@ -150,16 +151,22 @@ func TestPublicAPIPathFeatures(t *testing.T) {
 	}
 }
 
+// TestPublicAPISaveLoadIndex: a database saved by Create reopens through
+// Open without a rebuild and answers like the in-memory build; Open
+// refuses a metric that disagrees with the saved index layout.
 func TestPublicAPISaveLoadIndex(t *testing.T) {
 	db, graphs := buildPublicDB(t, 100, pis.Options{MaxFragmentEdges: 4})
-	var buf bytes.Buffer
-	if err := db.SaveIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := pis.LoadIndex(graphs, &buf, pis.Options{})
+	dir := filepath.Join(t.TempDir(), "db")
+	saved, err := pis.Create(dir, graphs, pis.Options{MaxFragmentEdges: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	saved.Close()
+	loaded, err := pis.Open(dir, pis.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
 	qs := chem.SampleQueries(graphs, 4, 10, 55)
 	for _, q := range qs {
 		a := db.Search(q, 2)
@@ -173,13 +180,10 @@ func TestPublicAPISaveLoadIndex(t *testing.T) {
 			}
 		}
 	}
-	// Wrong database size must be rejected.
-	buf.Reset()
-	if err := db.SaveIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pis.LoadIndex(graphs[:10], &buf, pis.Options{}); err == nil {
-		t.Error("database size mismatch accepted")
+	// FullMutation is not vertex-blind; the saved layout is.
+	if re, err := pis.Open(dir, pis.Options{Metric: pis.FullMutation}); err == nil {
+		re.Close()
+		t.Error("metric mismatch accepted")
 	}
 }
 

@@ -47,10 +47,7 @@ import (
 type Backend interface {
 	Len() int
 	Graph(id int32) *pis.Graph
-	Search(q *pis.Graph, sigma float64) pis.Result
-	SearchBatch(queries []*pis.Graph, sigma float64, workers int) []pis.Result
-	SearchKNN(q *pis.Graph, k int, maxSigma float64) []pis.Neighbor
-	// The Context variants honor cancellation and deadlines (including
+	// Queries honor cancellation and deadlines (including
 	// pis.Options.QueryTimeout): the server passes each request's context
 	// so a disconnected client or a deadline stops the query's verify
 	// workers instead of burning CPU on an unwanted answer.

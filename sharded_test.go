@@ -1,8 +1,7 @@
 package pis_test
 
 import (
-	"bytes"
-	"io"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -95,25 +94,20 @@ func TestShardedBatchMatchesSingle(t *testing.T) {
 }
 
 // TestShardedSaveLoad: per-shard index persistence round-trips through
-// SaveShardIndex/LoadShardedIndex and answers identically.
+// CreateSharded/OpenSharded and answers identically.
 func TestShardedSaveLoad(t *testing.T) {
 	graphs, _ := shardedEnv(t, 50, 9)
-	sh, err := pis.NewSharded(graphs, 4, pis.Options{MaxFragmentEdges: 4})
+	dir := filepath.Join(t.TempDir(), "db")
+	sh, err := pis.CreateSharded(dir, graphs, 4, pis.Options{MaxFragmentEdges: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bufs := make([]bytes.Buffer, sh.NumShards())
-	readers := make([]io.Reader, sh.NumShards())
-	for i := range bufs {
-		if err := sh.SaveShardIndex(i, &bufs[i]); err != nil {
-			t.Fatalf("SaveShardIndex(%d): %v", i, err)
-		}
-		readers[i] = &bufs[i]
-	}
-	loaded, err := pis.LoadShardedIndex(graphs, readers, pis.Options{})
+	defer sh.Close()
+	loaded, err := pis.OpenSharded(dir, pis.Options{})
 	if err != nil {
-		t.Fatalf("LoadShardedIndex: %v", err)
+		t.Fatalf("OpenSharded: %v", err)
 	}
+	defer loaded.Close()
 	q := gen.Queries(graphs, 1, 8, 8)[0]
 	want := sh.Search(q, 2)
 	got := loaded.Search(q, 2)
