@@ -126,7 +126,12 @@ func (c Code) Compare(o Code) int {
 // Key returns a compact byte-string encoding usable as a map key. Codes are
 // equal iff their keys are equal.
 func (c Code) Key() string {
-	buf := make([]byte, 0, len(c)*10)
+	return string(c.AppendKey(make([]byte, 0, len(c)*10)))
+}
+
+// AppendKey appends Key's encoding to buf; looking a map up with
+// m[string(buf)] then allocates nothing.
+func (c Code) AppendKey(buf []byte) []byte {
 	var tmp [10]byte
 	for _, t := range c {
 		tmp[0] = byte(t.I)
@@ -137,7 +142,7 @@ func (c Code) Key() string {
 		binary.LittleEndian.PutUint16(tmp[8:], 0)
 		buf = append(buf, tmp[:10]...)
 	}
-	return string(buf)
+	return buf
 }
 
 // String renders the code for debugging.

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"time"
 
 	"pis/internal/canon"
 	"pis/internal/distance"
@@ -223,7 +222,24 @@ func (x *Index) MaxFragmentEdges() int { return x.opts.MaxFragmentEdges }
 // Build constructs the index: every fragment of every database graph whose
 // skeleton matches a feature is folded into that feature's class index.
 func Build(db []*graph.Graph, features []mining.Feature, opts Options) (*Index, error) {
-	buildStart := time.Now()
+	return BuildParallel(db, features, opts, 1)
+}
+
+// BuildParallel is Build with a worker pool; workers <= 0 uses GOMAXPROCS.
+// The result is identical to Build's on the same inputs. Both fold db into
+// an empty index over the features' classes (see Fold).
+func BuildParallel(db []*graph.Graph, features []mining.Feature, opts Options, workers int) (*Index, error) {
+	x, err := scaffold(features, opts)
+	if err != nil {
+		return nil, err
+	}
+	return x.Fold(nil, nil, db, workers)
+}
+
+// scaffold returns an index over zero graphs whose classes are the
+// features of at most MaxFragmentEdges edges: codes, skeletons and
+// automorphism permutations, with empty (finalized) storage.
+func scaffold(features []mining.Feature, opts Options) (*Index, error) {
 	if opts.Metric == nil {
 		return nil, fmt.Errorf("index: Metric is required")
 	}
@@ -243,8 +259,7 @@ func Build(db []*graph.Graph, features []mining.Feature, opts Options) (*Index, 
 	x := &Index{
 		opts:        opts,
 		classes:     make(map[string]*Class, len(features)),
-		dbSize:      len(db),
-		fingerprint: graph.Fingerprint(db),
+		fingerprint: graph.Fingerprint(nil),
 		memo:        canon.NewMemo(),
 	}
 	for _, f := range features {
@@ -260,60 +275,18 @@ func Build(db []*graph.Graph, features []mining.Feature, opts Options) (*Index, 
 			vOff = cg.N()
 		}
 		c := newClass(len(x.list), f.Key, f.Code, cg, vOff)
-		switch opts.Kind {
-		case TrieIndex:
+		if opts.Kind == TrieIndex {
 			c.trie = trie.New(c.SeqLen())
-		case RTreeIndex:
-			// Vector layout mirrors the sequence: vertex weights then edge
-			// weights along canonical order.
-			c.rt = nil // bulk-loaded in finalize
-		case VPTreeIndex:
-			// built in finalize
 		}
 		x.classes[f.Key] = c
 		x.list = append(x.list, c)
 	}
-
-	for id, g := range db {
-		x.insertGraph(int32(id), g)
-	}
 	x.finalize()
-	x.computeStats()
-	x.computeFingerprints(db)
-	mBuildSeconds.ObserveSince(buildStart)
-	mBuildGraphs.Add(int64(len(db)))
 	return x, nil
 }
 
-// insertGraph folds every indexed fragment of g into the class indexes.
-func (x *Index) insertGraph(id int32, g *graph.Graph) {
-	graph.EnumerateConnectedSubgraphs(g, x.opts.MaxFragmentEdges, func(edges []int32) bool {
-		frag := graph.Fragment{Host: g, Edges: edges}
-		sub, _, _ := frag.Extract()
-		code, embs := x.memo.MinCodeUnlabeled(sub)
-		c := x.classes[code.Key()]
-		if c == nil {
-			return true
-		}
-		c.fragments++
-		if n := len(c.postings); n == 0 || c.postings[n-1] != id {
-			c.postings = append(c.postings, id) // ids arrive ascending
-		}
-		emb := embs[0]
-		switch x.opts.Kind {
-		case TrieIndex:
-			c.trie.Insert(c.canonicalVariant(fragmentSequence(sub, c, emb)), id)
-		case VPTreeIndex:
-			c.vpSeq = append(c.vpSeq, c.canonicalVariant(fragmentSequence(sub, c, emb)))
-			c.vpIDs = append(c.vpIDs, id)
-		case RTreeIndex:
-			c.rtEnt = append(c.rtEnt, rtree.Entry{Point: fragmentWeights(sub, c, emb), Data: id})
-		}
-		return true
-	})
-}
-
-// finalize builds the bulk-loaded per-class structures.
+// finalize bulk-loads the R-tree and VP-tree kinds from their staged
+// entries.
 func (x *Index) finalize() {
 	for _, c := range x.list {
 		switch x.opts.Kind {

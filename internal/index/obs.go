@@ -11,9 +11,9 @@ var (
 		"Per-fragment sigma range queries executed against the index.")
 	mBuildSeconds = obs.Default().Histogram(
 		"pis_index_build_seconds",
-		"Wall time of full index builds (initial load and compactions).",
+		"Wall time of index builds and compaction folds.",
 		obs.LatencyBuckets)
 	mBuildGraphs = obs.Default().Counter(
 		"pis_index_built_graphs_total",
-		"Graphs folded into the index across all builds.")
+		"Graphs whose fragments were enumerated into an index, across builds and folds.")
 )

@@ -43,7 +43,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"slices"
 
 	"pis/internal/binio"
 	"pis/internal/canon"
@@ -156,72 +155,22 @@ func (s *v3SlabWriter) ids(ids []int32) {
 // writeClassEntries encodes the class's stored entries in canonical
 // sorted order, returning the entry count.
 func (x *Index) writeClassEntries(sw *v3SlabWriter, c *Class) int {
-	switch x.opts.Kind {
-	case TrieIndex:
-		type ent struct {
-			seq    []uint32
-			graphs []int32
+	ents := x.sortedEntries(c)
+	for _, e := range ents {
+		for _, s := range e.seq {
+			sw.uvarint(uint64(s))
 		}
-		var ents []ent
-		c.trie.Walk(func(seq []uint32, graphs []int32) {
-			ents = append(ents, ent{append([]uint32(nil), seq...), graphs})
-		})
-		slices.SortFunc(ents, func(a, b ent) int { return slices.Compare(a.seq, b.seq) })
-		for _, e := range ents {
-			for _, s := range e.seq {
-				sw.uvarint(uint64(s))
-			}
-			sw.uvarint(uint64(len(e.graphs)))
-			sw.ids(e.graphs)
+		for _, w := range e.vec {
+			sw.f64(w)
 		}
-		return len(ents)
-	case VPTreeIndex:
-		order := make([]int, len(c.vpSeq))
-		for i := range order {
-			order[i] = i
+		if x.opts.Kind == TrieIndex {
+			sw.uvarint(uint64(len(e.ids)))
+			sw.ids(e.ids)
+		} else {
+			sw.uvarint(uint64(uint32(e.ids[0])))
 		}
-		slices.SortFunc(order, func(a, b int) int {
-			if d := slices.Compare(c.vpSeq[a], c.vpSeq[b]); d != 0 {
-				return d
-			}
-			return int(c.vpIDs[a]) - int(c.vpIDs[b])
-		})
-		for _, i := range order {
-			for _, s := range c.vpSeq[i] {
-				sw.uvarint(uint64(s))
-			}
-			sw.uvarint(uint64(uint32(c.vpIDs[i])))
-		}
-		return len(order)
-	case RTreeIndex:
-		var ents []rtree.Entry
-		c.rt.SearchRect(boundAll(c.rt.Dim()), func(e rtree.Entry) bool {
-			ents = append(ents, e)
-			return true
-		})
-		slices.SortFunc(ents, func(a, b rtree.Entry) int {
-			if d := slices.CompareFunc(a.Point, b.Point, func(x, y float64) int {
-				if x < y {
-					return -1
-				}
-				if x > y {
-					return 1
-				}
-				return 0
-			}); d != 0 {
-				return d
-			}
-			return int(a.Data) - int(b.Data)
-		})
-		for _, e := range ents {
-			for _, w := range e.Point {
-				sw.f64(w)
-			}
-			sw.uvarint(uint64(uint32(e.Data)))
-		}
-		return len(ents)
 	}
-	return 0
+	return len(ents)
 }
 
 // boundAll is the rectangle covering every point of an R-tree of

@@ -14,19 +14,18 @@
 //   - probe cost scales with the stored-sequence count times the number
 //     of automorphism variants probed.
 //
-// Statistics are computed at build time (so Compact refreshes them with
-// every rebuilt index) and persisted in the checksummed index directory.
+// Statistics are computed at build time (so every compaction's fold
+// refreshes them) and persisted in the checksummed index directory.
 // Sampling is fixed-stride over the canonical storage walk, never
-// randomized, so Build and BuildParallel agree bit for bit.
+// randomized, so every construction over the same graphs — serial,
+// parallel or a fold — agrees bit for bit.
 
 package index
 
 import (
 	"math"
-	"slices"
 
 	"pis/internal/distance"
-	"pis/internal/rtree"
 )
 
 // statsHistBuckets buckets pair distances at integers 0..7; the last
@@ -90,8 +89,7 @@ func (c *Class) ProbeCost() float64 {
 
 // computeStats fills every class's planner statistics from its stored
 // sequences. Deterministic: sampling is fixed-stride over the canonical
-// storage walk. Called after finalize (trees are walked, not staged
-// slices, so Build and BuildParallel share one implementation).
+// storage walk. Called after finalize.
 func (x *Index) computeStats() {
 	for _, c := range x.list {
 		c.stats = x.classStats(c)
@@ -115,41 +113,22 @@ func strideSample[T any](items []T) []T {
 
 func (x *Index) classStats(c *Class) ClassStats {
 	cs := ClassStats{Postings: int32(len(c.postings))}
-	// Collect the stored sequences and sort them before sampling: the
-	// trie's walk order (and the R-tree's) depends on insertion order,
-	// while the sorted order — and therefore the sample and the
-	// histogram — is a pure function of the stored set.
+	// Sample the stored sequences in sorted order: the trie's walk order
+	// (and the R-tree's) depends on insertion order, while the sorted
+	// order — and therefore the sample and the histogram — is a pure
+	// function of the stored set.
+	ents := x.sortedEntries(c)
+	cs.Sequences = int32(len(ents))
 	var seqs [][]uint32
 	var vecs [][]float64
-	switch x.opts.Kind {
-	case TrieIndex:
-		cs.Sequences = int32(c.trie.Sequences())
-		c.trie.Walk(func(seq []uint32, _ []int32) {
-			seqs = append(seqs, append([]uint32(nil), seq...))
-		})
-	case VPTreeIndex:
-		cs.Sequences = int32(len(c.vpSeq))
-		seqs = append(seqs, c.vpSeq...)
-	case RTreeIndex:
-		cs.Sequences = int32(c.rt.Len())
-		c.rt.SearchRect(boundAll(c.rt.Dim()), func(e rtree.Entry) bool {
-			vecs = append(vecs, e.Point)
-			return true
-		})
-	}
-	slices.SortFunc(seqs, slices.Compare)
-	seqs = strideSample(seqs)
-	slices.SortFunc(vecs, func(a, b []float64) int {
-		for i := range a {
-			if a[i] != b[i] {
-				if a[i] < b[i] {
-					return -1
-				}
-				return 1
-			}
+	for _, e := range ents {
+		if e.vec != nil {
+			vecs = append(vecs, e.vec)
+		} else {
+			seqs = append(seqs, e.seq)
 		}
-		return 0
-	})
+	}
+	seqs = strideSample(seqs)
 	vecs = strideSample(vecs)
 	record := func(d float64) {
 		b := statsHistBuckets - 1

@@ -97,11 +97,10 @@ func BuildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 	if n <= 0 {
 		return res, fmt.Errorf("index: streaming build needs a declared positive size, got %d", n)
 	}
-	// Build with no graphs scaffolds the class directory — codes, perms,
-	// per-class metadata — which pass 1 needs for canonicalization and
-	// the merge needs for distances; the expensive per-graph work never
-	// runs. Same trick as BuildParallel.
-	x, err := Build(nil, features, opts)
+	// The scaffold is the class directory — codes, perms, per-class
+	// metadata — which pass 1 needs for canonicalization and the merge
+	// needs for distances.
+	x, err := scaffold(features, opts)
 	if err != nil {
 		return res, err
 	}

@@ -2,8 +2,8 @@
 // rebuilding its index. The posting lists and per-class structures keep
 // the dead ids; every read path filters them out instead, so a delete is
 // O(1) and the index stays exactly the structure the paper's pruning
-// guarantees were proven over. Compaction eventually rebuilds the index
-// without the dead graphs and drops the tombstone set.
+// guarantees were proven over. Compaction eventually folds the index
+// into one without the dead graphs and drops the tombstone set.
 //
 // The set is immutable after construction: mutators copy-on-write via
 // WithSet, so a searcher holding a snapshot never observes a torn state

@@ -22,17 +22,17 @@ var (
 
 	mCompactions = obs.Default().Counter(
 		"pis_compactions_total",
-		"Completed segment compactions (delta and tombstones folded into a rebuilt base index).")
+		"Completed segment compactions (delta and tombstones folded into the base index).")
 	mCompactErrors = obs.Default().Counter(
 		"pis_compaction_errors_total",
 		"Failed segment compactions; the segment keeps serving from its previous state.")
 	mCompactSeconds = obs.Default().Histogram(
 		"pis_compaction_seconds",
-		"Wall time of segment compactions, including feature re-mining and the index rebuild.",
+		"Wall time of segment compactions, including the index fold (the snapshot write is not included).",
 		obs.LatencyBuckets)
 	mCompactedGraphs = obs.Default().Counter(
 		"pis_compacted_graphs_total",
-		"Graphs surviving into rebuilt bases across all compactions.")
+		"Graphs surviving into folded bases across all compactions.")
 )
 
 // SearchTraced is Search plus a span tree describing where the query's

@@ -7,17 +7,20 @@
 // structures, partition pruning — over a frozen graph slice; the delta is
 // unindexed and searched by direct verification (the naive path), which
 // is cheap while the delta stays a bounded fraction of the base; deletes
-// only ever hide ids from read paths. Compact folds delta and tombstones
-// into a freshly mined and built base, automatically once the delta
-// outgrows Config.CompactFraction of the base.
+// only ever hide ids from read paths. Features are mined once, when the
+// segment is created. Compact folds delta and tombstones into the base
+// index (index.Fold: surviving entries are carried over, only inserted
+// and deleted graphs are enumerated), automatically once the delta
+// outgrows Config.CompactFraction of the base; the folded index equals a
+// fresh build over the survivors with the same features.
 //
 // Query planning is delta-aware by construction: the cost-based planner
 // (core.Options planner knobs) budgets its σ range queries against the
 // indexed base only — delta graphs bypass the filter and are verified
 // regardless, so their count never inflates a fragment's estimated gain
 // — and the per-fragment selectivity statistics the planner consumes
-// are recomputed with every compaction, because Compact rebuilds the
-// index and index construction collects them.
+// are recomputed with every compaction, because the fold recomputes
+// them.
 //
 // Every graph carries a stable global id assigned at insertion by the
 // owner (pis.Database or shard.DB) and never reused: searches translate
@@ -55,9 +58,10 @@ import (
 // backing store.
 var ErrNotDurable = errors.New("segment: no backing store (database was not opened from a data directory)")
 
-// Config carries everything a segment needs to (re)build its index.
+// Config carries everything a segment needs to build and fold its index.
 type Config struct {
-	// Mining configures feature mining over the segment's base slice.
+	// Mining configures feature mining over the graphs a segment is
+	// created with; compaction keeps those features.
 	Mining mining.Options
 	// Index configures the per-class index (kind + metric).
 	Index index.Options
@@ -67,7 +71,8 @@ type Config struct {
 	// KNNCore tunes the sequential kNN searcher, which may use the full
 	// verification budget because only one segment runs at a time.
 	KNNCore core.Options
-	// IndexWorkers is the index.BuildParallel worker count (0 = GOMAXPROCS).
+	// IndexWorkers is the worker count of index.BuildParallel and
+	// index.Fold (0 = GOMAXPROCS).
 	IndexWorkers int
 	// CompactFraction triggers automatic compaction when
 	// len(delta) > CompactFraction * len(base). <= 0 disables the trigger;
@@ -149,11 +154,11 @@ func New(graphs []*graph.Graph, startID int32, cfg Config) (*Segment, error) {
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("segment: empty graph slice")
 	}
-	base, idx, err := build(graphs, cfg)
+	idx, err := build(graphs, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return fromIndex(base, sequentialIDs(startID, len(graphs)), idx, cfg)
+	return fromIndex(graphs, sequentialIDs(startID, len(graphs)), idx, cfg)
 }
 
 // NewDurable builds an indexed segment over graphs exactly like New and
@@ -281,19 +286,21 @@ func sequentialIDs(start int32, n int) []int32 {
 	return ids
 }
 
-func build(graphs []*graph.Graph, cfg Config) ([]*graph.Graph, *index.Index, error) {
+// build mines features over graphs and indexes them: the one place a
+// segment mines. Compaction folds into the index built here.
+func build(graphs []*graph.Graph, cfg Config) (*index.Index, error) {
 	feats, err := mining.Mine(graphs, cfg.Mining)
 	if err != nil {
-		return nil, nil, fmt.Errorf("mining features: %w", err)
+		return nil, fmt.Errorf("mining features: %w", err)
 	}
 	if len(feats) == 0 {
-		return nil, nil, fmt.Errorf("no features met the support threshold; lower MinSupportFraction")
+		return nil, fmt.Errorf("no features met the support threshold; lower MinSupportFraction")
 	}
 	idx, err := index.BuildParallel(graphs, feats, cfg.Index, cfg.IndexWorkers)
 	if err != nil {
-		return nil, nil, fmt.Errorf("building index: %w", err)
+		return nil, fmt.Errorf("building index: %w", err)
 	}
-	return graphs, idx, nil
+	return idx, nil
 }
 
 // mapIndex rewrites a heap-built index in the v3 mapped layout and
@@ -455,7 +462,7 @@ func (s *Segment) SearchKNNCtx(ctx context.Context, q *graph.Graph, k int, start
 // agreement) and is returned. Insert reports whether the delta has
 // outgrown CompactFraction of the base, in which case the caller should
 // run Compact — outside whatever lock serialized its id assignment, so a
-// rebuild never stalls inserts to other segments.
+// compaction never stalls inserts to other segments.
 func (s *Segment) Insert(g *graph.Graph, id int32) (needsCompact bool, err error) {
 	s.Reserve()
 	return s.CommitInsert(g, id)
@@ -532,11 +539,13 @@ func (s *Segment) localOf(id int32) (int32, bool) {
 	return 0, false
 }
 
-// Compact folds the delta and tombstones into a freshly mined and built
-// index over the surviving graphs; the rebuilt index carries fresh
-// per-fragment selectivity statistics, so the query planner's estimates
-// track the post-compaction contents. On error the segment is unchanged
-// and still serves correctly. Compacting an unmutated segment is a no-op.
+// Compact folds the delta and tombstones into the base index
+// (index.Fold): surviving graphs keep their stored entries, inserted ones
+// are enumerated, and features are never re-mined. The folded index
+// carries fresh per-fragment selectivity statistics, so the query
+// planner's estimates track the post-compaction contents. On error the
+// segment is unchanged and still serves correctly. Compacting an
+// unmutated segment is a no-op.
 //
 // On a durable segment a successful compaction also writes a fresh
 // snapshot and truncates the WAL. If the snapshot write fails the error
@@ -706,12 +715,15 @@ func (s *Segment) compactLocked() error {
 	if len(s.delta) == 0 && s.tombs.Count() == 0 {
 		return nil
 	}
-	survivors := make([]*graph.Graph, 0, len(s.base)+len(s.delta)-s.tombs.Count())
-	ids := make([]int32, 0, cap(survivors))
+	n := len(s.base) + len(s.delta) - s.tombs.Count()
+	survivors := make([]*graph.Graph, 0, n)
+	ids := make([]int32, 0, n)
+	keep := make([]int32, 0, len(s.base))
 	for i, g := range s.base {
 		if !s.tombs.Has(int32(i)) {
 			survivors = append(survivors, g)
 			ids = append(ids, s.ids[i])
+			keep = append(keep, int32(i))
 		}
 	}
 	for i, g := range s.delta {
@@ -721,13 +733,14 @@ func (s *Segment) compactLocked() error {
 		}
 	}
 	if len(survivors) == 0 {
-		// Nothing lives: keep the old index (a rebuild over zero graphs is
-		// impossible) and tombstone the whole base, dropping the delta.
+		// Nothing lives: keep the old index and tombstone the whole base,
+		// dropping the delta, rather than serve from an index over zero
+		// graphs that every later insert would compact.
 		s.tombs = index.AllSet(len(s.base))
 		s.delta, s.deltaIDs, s.deltaFPs = nil, nil, nil
 		return nil
 	}
-	base, idx, err := build(survivors, s.cfg)
+	idx, err := s.idx.Fold(s.base, keep, survivors[len(keep):], s.cfg.IndexWorkers)
 	if err != nil {
 		return fmt.Errorf("segment: compacting %d graphs: %w", len(survivors), err)
 	}
@@ -739,9 +752,9 @@ func (s *Segment) compactLocked() error {
 		// before this compaction; park it for Close instead of unmapping.
 		s.retired = append(s.retired, s.idx)
 	}
-	s.base, s.ids, s.idx = base, ids, idx
-	s.srch = core.NewSearcher(base, idx, s.cfg.Core)
-	s.knn = core.NewSearcher(base, idx, s.cfg.KNNCore)
+	s.base, s.ids, s.idx = survivors, ids, idx
+	s.srch = core.NewSearcher(survivors, idx, s.cfg.Core)
+	s.knn = core.NewSearcher(survivors, idx, s.cfg.KNNCore)
 	s.delta, s.deltaIDs, s.deltaFPs, s.tombs = nil, nil, nil, nil
 	return nil
 }

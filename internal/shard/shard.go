@@ -18,7 +18,7 @@
 // with the fewest live graphs (keeping shards balanced as the database
 // grows), where they land in that shard's delta segment; deletes
 // tombstone the owning shard; Compact folds every shard's delta and
-// tombstones into fresh per-shard indexes in parallel. Graph ids are
+// tombstones into that shard's index, in parallel. Graph ids are
 // global, assigned once at insertion, and never reused, so they stay
 // stable across compactions.
 //
@@ -55,8 +55,8 @@ type Config struct {
 	Index index.Options
 	// Core tunes the filtering stage of every shard's searcher.
 	Core core.Options
-	// IndexWorkers is the BuildParallel worker count within one shard
-	// (0 = GOMAXPROCS, 1 = serial).
+	// IndexWorkers is the index build and compaction-fold worker count
+	// within one shard (0 = GOMAXPROCS, 1 = serial).
 	IndexWorkers int
 	// CompactFraction triggers automatic per-shard compaction when a
 	// shard's delta outgrows this fraction of its indexed base (<= 0
@@ -442,7 +442,7 @@ func (d *DB) Insert(g *graph.Graph) (int32, error) {
 		return -1, err
 	}
 	if needsCompact {
-		// Rebuild outside d.mu: a long re-mine on one shard must not stall
+		// Compact outside d.mu: one shard's index fold must not stall
 		// inserts routed to the others.
 		return id, seg.Compact()
 	}
@@ -463,8 +463,8 @@ func (d *DB) Delete(id int32) (bool, error) {
 	return false, nil
 }
 
-// Compact folds every shard's delta and tombstones into fresh per-shard
-// indexes, in parallel. The first error is returned; failed shards keep
+// Compact folds every shard's delta and tombstones into that shard's
+// index, in parallel. The first error is returned; failed shards keep
 // serving their pre-compaction state.
 func (d *DB) Compact() error {
 	errs := make([]error, len(d.segs))

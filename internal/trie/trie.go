@@ -47,6 +47,41 @@ func (t *Trie) Postings() int { return t.posts }
 // sequence. Inserting the same (sequence, graph) pair twice is a no-op.
 // Insert panics when the sequence length disagrees with the trie.
 func (t *Trie) Insert(seq []uint32, graphID int32) {
+	n := t.leaf(seq)
+	if n.graphs == nil {
+		t.seqs++
+	}
+	i := sort.Search(len(n.graphs), func(i int) bool { return n.graphs[i] >= graphID })
+	if i < len(n.graphs) && n.graphs[i] == graphID {
+		return
+	}
+	n.graphs = append(n.graphs, 0)
+	copy(n.graphs[i+1:], n.graphs[i:])
+	n.graphs[i] = graphID
+	t.posts++
+}
+
+// InsertAll is Insert for every id of graphIDs, which must ascend
+// strictly, with one descent: into a sequence not stored yet the ids are
+// copied wholesale.
+func (t *Trie) InsertAll(seq []uint32, graphIDs []int32) {
+	if len(graphIDs) == 0 {
+		return
+	}
+	n := t.leaf(seq)
+	if n.graphs != nil {
+		for _, id := range graphIDs {
+			t.Insert(seq, id)
+		}
+		return
+	}
+	n.graphs = append([]int32(nil), graphIDs...)
+	t.seqs++
+	t.posts += len(graphIDs)
+}
+
+// leaf returns the node at the end of seq's path, creating the path.
+func (t *Trie) leaf(seq []uint32) *node {
 	if len(seq) != t.length {
 		panic("trie: sequence length mismatch")
 	}
@@ -62,17 +97,7 @@ func (t *Trie) Insert(seq []uint32, graphID int32) {
 		}
 		n = c
 	}
-	if n.graphs == nil {
-		t.seqs++
-	}
-	i := sort.Search(len(n.graphs), func(i int) bool { return n.graphs[i] >= graphID })
-	if i < len(n.graphs) && n.graphs[i] == graphID {
-		return
-	}
-	n.graphs = append(n.graphs, 0)
-	copy(n.graphs[i+1:], n.graphs[i:])
-	n.graphs[i] = graphID
-	t.posts++
+	return n
 }
 
 // Range visits every stored sequence whose total substitution cost against

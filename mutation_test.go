@@ -306,3 +306,85 @@ func TestAutoCompactionTriggers(t *testing.T) {
 		t.Fatalf("Len = %d, want 30", db.Len())
 	}
 }
+
+// TestCompactEmptyKeepMatchesFresh: once every initial graph is deleted
+// and fresh ones inserted, a compaction folds the new graphs into an
+// index that keeps none of the old ones. The result must answer like
+// pis.New over the survivors, and compaction never re-mines: the feature
+// set stays the one the database was created with, even when the
+// survivors alone would support no feature at all.
+func TestCompactEmptyKeepMatchesFresh(t *testing.T) {
+	opts := pis.Options{MaxFragmentEdges: 4, CompactFraction: -1}
+	initial := gen.Molecules(24, gen.Config{Seed: 120})
+	unsharded, err := pis.New(initial, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := pis.NewSharded(initial, 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, db := range map[string]mutableDB{"unsharded": unsharded, "sharded": sharded} {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(121))
+			features := db.Stats().Features
+			compact := func() {
+				t.Helper()
+				if err := db.Compact(); err != nil {
+					t.Fatalf("Compact: %v", err)
+				}
+				if got := db.Stats().Features; got != features {
+					t.Fatalf("compaction changed the feature set: %d features, created with %d", got, features)
+				}
+			}
+			m := &mutationModel{live: make(map[int32]*pis.Graph)}
+			for _, id := range db.LiveIDs() {
+				if ok, err := db.Delete(id); !ok || err != nil {
+					t.Fatalf("Delete(%d): %v %v", id, ok, err)
+				}
+			}
+			compact()
+			for _, g := range gen.Molecules(18, gen.Config{Seed: 122}) {
+				id, err := db.Insert(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.live[id] = g
+			}
+			compact()
+			checkEquivalence(t, rng, db, m, opts)
+
+			// Survivors that support no feature of at least
+			// MinFragmentEdges edges: a re-mine would find nothing to index.
+			for id := range m.live {
+				if ok, err := db.Delete(id); !ok || err != nil {
+					t.Fatalf("Delete(%d): %v %v", id, ok, err)
+				}
+				delete(m.live, id)
+			}
+			var ids []int32
+			for i := 0; i < 4; i++ {
+				b := pis.NewGraphBuilder(2, 1)
+				b.AddVertex(0)
+				b.AddVertex(0)
+				b.AddEdge(0, 1, pis.ELabel(i%2))
+				id, err := db.Insert(b.MustBuild())
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+			}
+			compact()
+			if got := db.LiveIDs(); fmt.Sprint(got) != fmt.Sprint(ids) {
+				t.Fatalf("LiveIDs %v, want %v", got, ids)
+			}
+			q := pis.NewGraphBuilder(2, 1)
+			q.AddVertex(0)
+			q.AddVertex(0)
+			q.AddEdge(0, 1, 0)
+			if got := db.Search(q.MustBuild(), 0).Answers; fmt.Sprint(got) != fmt.Sprint([]int32{ids[0], ids[2]}) {
+				t.Fatalf("Search answers %v, want %v", got, []int32{ids[0], ids[2]})
+			}
+		})
+	}
+}

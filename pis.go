@@ -384,8 +384,8 @@ func (db *Database) Graph(id int32) *Graph { return db.seg.Graph(id) }
 // Insert appends g to the database under a fresh stable id, which it
 // returns. The graph lands in an in-memory delta segment and is
 // searchable immediately; once the delta outgrows
-// Options.CompactFraction of the indexed size it is folded into a
-// rebuilt index. On a durable database the insert is written to the WAL
+// Options.CompactFraction of the indexed size it is folded into the
+// index (see Compact). On a durable database the insert is written to the WAL
 // and fsync'd before it is acknowledged; a logging failure rejects the
 // mutation and returns id -1 with the error. Otherwise a non-nil error
 // reports a failed automatic compaction (the delta is retained, answers
@@ -413,8 +413,11 @@ func (db *Database) Insert(g *Graph) (int32, error) {
 // a logging failure the graph stays live and the error is returned.
 func (db *Database) Delete(id int32) (bool, error) { return db.seg.Delete(id) }
 
-// Compact folds the delta segment and tombstones into a freshly mined
-// and built index over the surviving graphs. Ids are unchanged. On error
+// Compact folds the delta segment and tombstones into the index: the
+// surviving graphs' entries are carried over, only inserted and deleted
+// graphs are enumerated, and the features mined at creation are kept —
+// the result equals a fresh build over the survivors with those
+// features. Ids are unchanged. On error
 // the database keeps serving its pre-compaction state, still exactly.
 // On a durable database a successful compaction also writes a fresh
 // snapshot and truncates the WAL.
@@ -773,8 +776,8 @@ func (s *Sharded) Insert(g *Graph) (int32, error) { return s.db.Insert(g) }
 // acknowledged.
 func (s *Sharded) Delete(id int32) (bool, error) { return s.db.Delete(id) }
 
-// Compact folds every shard's delta and tombstones into fresh per-shard
-// indexes, in parallel. Ids are unchanged. On a durable database each
+// Compact folds every shard's delta and tombstones into that shard's
+// index, in parallel, as Database.Compact does. Ids are unchanged. On a durable database each
 // shard's compaction also writes a fresh snapshot and truncates its WAL.
 func (s *Sharded) Compact() error { return s.db.Compact() }
 
